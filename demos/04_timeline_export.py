@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Render narrative lifecycles from a run's per-turn snapshots.
+"""Render narrative lifecycles from a run's bank log.
 
-Diffs the bank snapshot written after every turn into per-narrative
+Folds the bank changes logged after every turn into per-narrative
 growth series, prints an ASCII activity chart (one row per narrative,
 one column per turn, '#' where fragments were bound, 'C' where a
 consolidation created sub-stories), and writes timeline.json/.csv.
@@ -29,7 +29,7 @@ def main() -> int:
     parser.add_argument("--width", type=int, default=28, help="label column width")
     args = parser.parse_args()
 
-    if not Path(args.run, "snapshots").is_dir():
+    if not Path(args.run, "bank_log.jsonl").is_file():
         print(f"(no run at {args.run}; replaying first)")
         transcript = ingest_native(args.transcript)
         engine = MemoryEngine(EngineConfig(B=0), RuleBackend())
@@ -39,7 +39,7 @@ def main() -> int:
             engine.close()
 
     reader = RunReader(args.run)
-    timeline = export_timeline(reader.snapshots())
+    timeline = export_timeline(reader.bank_log())
     last = max(timeline.iterations)
 
     print(f"{len(timeline.narratives)} narratives over {last} turns\n")

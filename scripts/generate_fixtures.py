@@ -525,13 +525,8 @@ def verify_scripted_reproduction(script_path: Path, transcript, transcript_path:
             raise SystemExit(f"{name} differs between recorded and scripted run")
     if strip_latencies(recorded_paths.records) != strip_latencies(paths.records):
         raise SystemExit("records differ between recorded and scripted run")
-    recorded_snaps = sorted(p.name for p in recorded_paths.snapshots.glob("*.json"))
-    scripted_snaps = sorted(p.name for p in paths.snapshots.glob("*.json"))
-    if recorded_snaps != scripted_snaps:
-        raise SystemExit("snapshot sets differ")
-    for name in recorded_snaps:
-        if (recorded_paths.snapshots / name).read_bytes() != (paths.snapshots / name).read_bytes():
-            raise SystemExit(f"snapshot {name} differs")
+    if recorded_paths.bank_log.read_bytes() != paths.bank_log.read_bytes():
+        raise SystemExit("bank log differs between recorded and scripted run")
 
 
 def main() -> int:

@@ -26,7 +26,7 @@ from .errors import (
     EmptyTranscript,
     MalformedInput,
     MissingBank,
-    MissingSnapshots,
+    MissingBankLog,
     ReplayAborted,
     StorymemError,
     ZeroHistory,
@@ -55,7 +55,7 @@ _INPUT_ERRORS = (
     EmptyTranscript,
     CorruptSnapshot,
     MissingBank,
-    MissingSnapshots,
+    MissingBankLog,
     ZeroHistory,
     EmptySamples,
     FileNotFoundError,
@@ -237,7 +237,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_timeline(args) -> int:
     reader = RunReader(args.run_dir)
-    timeline = export_timeline(reader.snapshots())
+    timeline = export_timeline(reader.bank_log())
     out_dir = Path(args.out or args.run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "timeline.json").write_text(
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flags(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export-timeline", help="export narrative growth series from snapshots")
+    p = sub.add_parser("export-timeline", help="export narrative growth series from the bank log")
     p.add_argument("run_dir")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_timeline)

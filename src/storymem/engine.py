@@ -12,7 +12,8 @@ bank, then consolidates narratives whose activity just lapsed and
 distills their durable facts into the triple store.
 
 run_replay drives a whole transcript through the engine, draining the
-worker after every turn so scripted runs are reproducible byte for byte.
+worker after every turn so scripted runs are reproducible byte for byte,
+and appends that turn's bank changes to the run's bank log.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .formatting import (
 )
 from .parsing import BindingDecision, InitStory
 from .prompts import PromptKind, prompt_digest
-from .reasoner import Reasoner
+from .reasoner import ExchangeObserver, Reasoner
 from .retrieval import (
     HashedBagEmbedding,
     RetrievalResult,
@@ -187,27 +188,19 @@ class AskOutcome:
         return ids
 
 
-class MemoryEngine:
-    def __init__(self, config: EngineConfig, backend: Backend) -> None:
-        self.config = config
-        self.backend = backend
-        self.bank = MemoryBank()
-        self.store = TripleStore()
-        self.reasoner = Reasoner(backend, observer=self._observe)
-        self._history: list[Turn] = []
-        self._iteration = 0
-        self._mem_init_done = False
-        self._records: list[IterationRecord] = []
-        self._exchanges: list[dict] = []
-        self._log_lock = threading.Lock()
-        self._local = threading.local()
-        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="offline")
-        self._pending: list[Future] = []
+def _exchange_observer(
+    exchanges: list[dict], lock: threading.Lock, local: threading.local
+) -> ExchangeObserver:
+    """The Reasoner observer that fills the engine's exchange log.
 
-    # --- plumbing ----------------------------------------------------------------
+    It closes over the engine's log, lock and thread-local rather than
+    the engine itself: a bound method would put the engine in a
+    reference cycle with its Reasoner, and a dropped engine would then
+    wait for the cyclic garbage collector.
+    """
 
-    def _observe(self, kind: PromptKind, rendered: str, raw: str) -> None:
-        ctx = getattr(self._local, "ctx", (0, "online"))
+    def observe(kind: PromptKind, rendered: str, raw: str) -> None:
+        ctx = getattr(local, "ctx", (0, "online"))
         entry = {
             "iteration": ctx[0],
             "phase": ctx[1],
@@ -216,11 +209,41 @@ class MemoryEngine:
             "prompt": rendered,
             "response": raw,
         }
-        with self._log_lock:
-            self._exchanges.append(entry)
+        with lock:
+            exchanges.append(entry)
+
+    return observe
+
+
+class MemoryEngine:
+    def __init__(self, config: EngineConfig, backend: Backend) -> None:
+        self.config = config
+        self.backend = backend
+        self.bank = MemoryBank()
+        self.store = TripleStore()
+        self._history: list[Turn] = []
+        # formatted history line -> first turn with that line (provenance lookup)
+        self._line_index: dict[str, Turn] = {}
+        self._iteration = 0
+        self._mem_init_done = False
+        self._records: list[IterationRecord] = []
+        self._exchanges: list[dict] = []
+        self._log_lock = threading.Lock()
+        self._local = threading.local()
+        self.reasoner = Reasoner(
+            backend, observer=_exchange_observer(self._exchanges, self._log_lock, self._local)
+        )
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="offline")
+        self._pending: list[Future] = []
+
+    # --- plumbing ----------------------------------------------------------------
 
     def _set_phase(self, iteration: int, phase: str) -> None:
         self._local.ctx = (iteration, phase)
+
+    def _remember(self, turn: Turn) -> None:
+        self._history.append(turn)
+        self._line_index.setdefault(format_turn(turn), turn)
 
     @property
     def history(self) -> list[Turn]:
@@ -263,7 +286,7 @@ class MemoryEngine:
         start = time.perf_counter()
         self._iteration += 1
         iteration = self._iteration
-        self._history.append(turn)
+        self._remember(turn)
         h_len = len(self._history)
         context = self._history[:-1][-self.config.binding_context_turns:]
         path = "full_context" if h_len <= self.config.switch_threshold else "memory"
@@ -296,7 +319,7 @@ class MemoryEngine:
                     text=response,
                     session_id=turn.session_id,
                 )
-                self._history.append(response_turn)
+                self._remember(response_turn)
 
         record.online_latency = time.perf_counter() - start
 
@@ -423,12 +446,10 @@ class MemoryEngine:
         and provenance falls back to the turn being processed.
         """
         line = line.strip()
-        for t in self._history:
-            if format_turn(t) == line:
-                text = _TS_PREFIX.sub("", line)
-                return Fragment.create(
-                    text=text, timestamp=t.timestamp, turn_ids=(t.turn_id,)
-                )
+        t = self._line_index.get(line)
+        if t is not None:
+            text = _TS_PREFIX.sub("", line)
+            return Fragment.create(text=text, timestamp=t.timestamp, turn_ids=(t.turn_id,))
         m = _TS_PREFIX.match(line)
         stamp = fallback.timestamp
         if m:
@@ -451,7 +472,7 @@ class MemoryEngine:
                     for line in story.content
                     if line.strip()
                 ]
-                narrative.append_fragments(fragments, record.iteration)
+                self.bank.append_fragments(narrative, fragments, record.iteration)
                 record.bound_fragments += len(fragments)
 
     def _bind(
@@ -487,7 +508,7 @@ class MemoryEngine:
                     record.reactivated.append([existing.owner, existing.topic])
                 narrative = self.bank.get_or_create(d.owner, d.topic)
                 fragment = self._fragment_from_line(d.message_excerpt, source)
-                narrative.append_fragments([fragment], record.iteration)
+                self.bank.append_fragments(narrative, [fragment], record.iteration)
                 record.bound_fragments += 1
 
     def _due_for_consolidation(self, iteration: int) -> list[Narrative]:
@@ -529,7 +550,8 @@ class MemoryEngine:
             new_items_text=items_text,
         )
         with self.bank.lock:
-            narrative.apply_consolidation(
+            self.bank.consolidate(
+                narrative,
                 window_start,
                 [(s.sub_topic, s.interval[0], s.interval[1]) for s in verdict.substories],
             )
@@ -558,9 +580,10 @@ class MemoryEngine:
     # --- state restore (query/eval over a finished run) ---------------------------
 
     def restore(self, transcript: Transcript, bank: MemoryBank, store: TripleStore) -> None:
-        turns = list(replay(transcript))
-        self._history = turns
-        self._iteration = len(turns)
+        self._history, self._line_index = [], {}
+        for turn in replay(transcript):
+            self._remember(turn)
+        self._iteration = len(self._history)
         self.bank = bank
         self.store = store
         self._mem_init_done = len(bank) > 0
@@ -581,24 +604,23 @@ def run_replay(
     identical on every run with a scripted backend. Backend failures
     abort after flushing what exists.
     """
-    writer = runio.RunWriter(out_dir)
     config = dict(engine.describe())
     config["transcript"] = runio.transcript_stamp(transcript, transcript_path)
-    writer.write_config(config)
-
     aborted: Exception | None = None
-    for turn in replay(transcript):
-        engine.step(turn, generate=False)
-        failures = engine.drain()
-        hard = [f for f in failures if isinstance(f, Exception)]
-        if hard:
-            aborted = hard[0]
-            break
-        writer.write_snapshot(engine.iteration, engine.bank.to_dict())
+    with runio.RunWriter(out_dir) as writer:
+        writer.write_config(config)
+        for turn in replay(transcript):
+            engine.step(turn, generate=False)
+            failures = engine.drain()
+            hard = [f for f in failures if isinstance(f, Exception)]
+            if hard:
+                aborted = hard[0]
+                break
+            writer.write_snapshot(engine.iteration, engine.bank.drain_events())
 
-    writer.write_records([r.to_dict() for r in engine.records()])
-    writer.write_exchanges(engine.exchanges())
-    writer.write_final(engine.bank.to_dict(), engine.store.to_jsonl())
+        writer.write_records([r.to_dict() for r in engine.records()])
+        writer.write_exchanges(engine.exchanges())
+        writer.write_final(engine.bank.to_dict(), engine.store.to_jsonl())
     if aborted is not None:
         raise ReplayAborted(
             f"replay aborted at iteration {engine.iteration}: {aborted}"

@@ -6,8 +6,11 @@ fragments into headlined subplots; the fragments themselves never move
 or mutate, subplots reference them by position.
 
 The bank is the single mutable store. All mutation happens under one
-lock so an offline worker thread and snapshot serialization can safely
-interleave.
+lock so an offline worker thread and serialization can safely
+interleave. Every change made through the bank is also recorded as a
+bank-log event: drain_events() hands over the changes since the last
+drain, and apply() replays them, so folding a run's bank log over an
+empty bank rebuilds the bank as it stood after any iteration.
 """
 
 from __future__ import annotations
@@ -137,12 +140,57 @@ class Narrative:
         return [self.fragments[i] for i in subplot.fragment_indices if i < len(self.fragments)]
 
 
+# --- serialization, shared by bank dicts and bank-log events ----------------------
+
+
+def _fragment_to_dict(f: Fragment) -> dict:
+    return {
+        "fragment_id": f.fragment_id,
+        "text": f.text,
+        "timestamp": f.timestamp.isoformat(),
+        "turn_ids": list(f.turn_ids),
+    }
+
+
+def _fragment_from_dict(fd: dict) -> Fragment:
+    return Fragment(
+        fragment_id=fd["fragment_id"],
+        text=fd["text"],
+        timestamp=datetime.fromisoformat(fd["timestamp"]),
+        turn_ids=tuple(fd.get("turn_ids", [])),
+    )
+
+
+def _subplot_to_dict(s: Subplot) -> dict:
+    return {"headline": s.headline, "fragment_indices": list(s.fragment_indices)}
+
+
+def _subplot_from_dict(sd: dict) -> Subplot:
+    return Subplot(
+        headline=sd["headline"],
+        fragment_indices=tuple(int(i) for i in sd["fragment_indices"]),
+    )
+
+
 class MemoryBank:
-    """All narratives for one conversation, keyed by normalized (owner, topic)."""
+    """All narratives for one conversation, keyed by normalized (owner, topic).
+
+    Changes made through the bank's own methods are recorded as events
+    (plain dicts, ready for JSON) until drain_events() takes them:
+
+        {"op": "create", "owner", "topic"}
+        {"op": "append", "owner", "topic", "fragments", "last_bound_iteration"}
+        {"op": "consolidate", "owner", "topic", "subplots", "consolidated_through"}
+        {"op": "rename", "owner", "topic", "new_topic"}
+
+    owner and topic name the narrative as it stood just before the event.
+    A narrative mutated directly through its own methods is not recorded.
+    """
 
     def __init__(self) -> None:
         self._narratives: dict[tuple[str, str], Narrative] = {}
         self._lock = threading.RLock()
+        self._events: list[dict] = []
 
     @property
     def lock(self) -> threading.RLock:
@@ -168,7 +216,23 @@ class MemoryBank:
                 narrative = Narrative(owner=" ".join(str(owner).split()),
                                       topic=" ".join(str(topic).split()))
                 self._narratives[key] = narrative
+                self._events.append(
+                    {"op": "create", "owner": narrative.owner, "topic": narrative.topic}
+                )
             return narrative
+
+    def append_fragments(
+        self, narrative: Narrative, fragments: list[Fragment], iteration: int
+    ) -> None:
+        with self._lock:
+            narrative.append_fragments(fragments, iteration)
+            self._events.append({
+                "op": "append",
+                "owner": narrative.owner,
+                "topic": narrative.topic,
+                "fragments": [_fragment_to_dict(f) for f in fragments],
+                "last_bound_iteration": narrative.last_bound_iteration,
+            })
 
     def extend(
         self,
@@ -192,8 +256,23 @@ class MemoryBank:
                 for t in texts
                 if str(t).strip()
             ]
-            narrative.append_fragments(fragments, iteration)
+            self.append_fragments(narrative, fragments, iteration)
             return narrative
+
+    def consolidate(
+        self, narrative: Narrative, window_start: int, items: list[tuple[str, int, int]]
+    ) -> list[Subplot]:
+        """Narrative.apply_consolidation, recorded as one event."""
+        with self._lock:
+            created = narrative.apply_consolidation(window_start, items)
+            self._events.append({
+                "op": "consolidate",
+                "owner": narrative.owner,
+                "topic": narrative.topic,
+                "subplots": [_subplot_to_dict(s) for s in created],
+                "consolidated_through": narrative.consolidated_through,
+            })
+            return created
 
     def inactive_narratives(self, current_iteration: int) -> list[Narrative]:
         with self._lock:
@@ -215,10 +294,64 @@ class MemoryBank:
                     narrative.topic, new_topic,
                 )
                 return False
+            old_topic = narrative.topic
             del self._narratives[old_key]
             narrative.topic = " ".join(str(new_topic).split())
             self._narratives[new_key] = narrative
+            self._events.append({
+                "op": "rename",
+                "owner": narrative.owner,
+                "topic": old_topic,
+                "new_topic": narrative.topic,
+            })
             return True
+
+    # --- bank log --------------------------------------------------------------
+
+    def drain_events(self) -> list[dict]:
+        """The changes recorded since the last drain, oldest first."""
+        with self._lock:
+            events, self._events = self._events, []
+            return events
+
+    def apply(self, event: dict) -> Narrative:
+        """Replay one recorded change; return the narrative it touched.
+
+        Replayed changes are not recorded again.
+        """
+        try:
+            with self._lock:
+                op = event["op"]
+                key = (normalize_label(event["owner"]), normalize_label(event["topic"]))
+                if op == "create":
+                    if key in self._narratives:
+                        raise CorruptSnapshot(f"bank log creates {key} twice")
+                    narrative = Narrative(owner=event["owner"], topic=event["topic"])
+                    self._narratives[key] = narrative
+                    return narrative
+                narrative = self._narratives[key]
+                if op == "append":
+                    narrative.fragments.extend(
+                        _fragment_from_dict(fd) for fd in event["fragments"]
+                    )
+                    narrative.last_bound_iteration = int(event["last_bound_iteration"])
+                elif op == "consolidate":
+                    narrative.subplots.extend(
+                        _subplot_from_dict(sd) for sd in event["subplots"]
+                    )
+                    narrative.consolidated_through = int(event["consolidated_through"])
+                elif op == "rename":
+                    new_key = (key[0], normalize_label(event["new_topic"]))
+                    if new_key in self._narratives:
+                        raise CorruptSnapshot(f"bank log renames {key} onto {new_key}")
+                    del self._narratives[key]
+                    narrative.topic = event["new_topic"]
+                    self._narratives[new_key] = narrative
+                else:
+                    raise CorruptSnapshot(f"unknown bank-log event {op!r}")
+                return narrative
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptSnapshot(f"malformed bank-log event: {exc!r}") from exc
 
     # --- serialization ---------------------------------------------------------
 
@@ -232,22 +365,8 @@ class MemoryBank:
                         "topic": n.topic,
                         "last_bound_iteration": n.last_bound_iteration,
                         "consolidated_through": n.consolidated_through,
-                        "fragments": [
-                            {
-                                "fragment_id": f.fragment_id,
-                                "text": f.text,
-                                "timestamp": f.timestamp.isoformat(),
-                                "turn_ids": list(f.turn_ids),
-                            }
-                            for f in n.fragments
-                        ],
-                        "subplots": [
-                            {
-                                "headline": s.headline,
-                                "fragment_indices": list(s.fragment_indices),
-                            }
-                            for s in n.subplots
-                        ],
+                        "fragments": [_fragment_to_dict(f) for f in n.fragments],
+                        "subplots": [_subplot_to_dict(s) for s in n.subplots],
                     }
                     for n in self._narratives.values()
                 ],
@@ -266,22 +385,10 @@ class MemoryBank:
                     last_bound_iteration=int(nd.get("last_bound_iteration", 0)),
                     consolidated_through=int(nd.get("consolidated_through", 0)),
                 )
-                for fd in nd["fragments"]:
-                    narrative.fragments.append(
-                        Fragment(
-                            fragment_id=fd["fragment_id"],
-                            text=fd["text"],
-                            timestamp=datetime.fromisoformat(fd["timestamp"]),
-                            turn_ids=tuple(fd.get("turn_ids", [])),
-                        )
-                    )
-                for sd in nd.get("subplots", []):
-                    narrative.subplots.append(
-                        Subplot(
-                            headline=sd["headline"],
-                            fragment_indices=tuple(int(i) for i in sd["fragment_indices"]),
-                        )
-                    )
+                narrative.fragments.extend(_fragment_from_dict(fd) for fd in nd["fragments"])
+                narrative.subplots.extend(
+                    _subplot_from_dict(sd) for sd in nd.get("subplots", [])
+                )
                 bank._narratives[narrative.key] = narrative
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptSnapshot(f"malformed snapshot: {exc}") from exc

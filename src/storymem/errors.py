@@ -23,11 +23,11 @@ class EmptyTranscript(StorymemError):
 
 
 class CorruptSnapshot(StorymemError):
-    """A persisted snapshot is unreadable or structurally invalid."""
+    """A persisted bank or bank-log line is unreadable or structurally invalid."""
 
 
-class MissingSnapshots(StorymemError):
-    """A run directory has no per-iteration snapshots to work from."""
+class MissingBankLog(StorymemError):
+    """A run directory has no bank log (bank_log.jsonl) to work from."""
 
 
 class MissingBank(StorymemError):

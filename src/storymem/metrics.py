@@ -1,7 +1,7 @@
 """Evaluation metrics and report assembly.
 
-All metrics are pure functions over run artifacts (records, snapshots,
-retrievals, answers). Percentiles use the nearest-rank method; coverage
+All metrics are pure functions over run artifacts (records, the bank
+log, retrievals, answers). Percentiles use the nearest-rank method; coverage
 and recall operate on turn-id provenance sets, not on evidence text.
 """
 
@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .episodic import MemoryBank, Narrative
 from .errors import EmptySamples, ParseFailure, SchemaMismatch, ZeroHistory
 from .parsing import Judgment
 from .reasoner import Reasoner
@@ -218,22 +219,32 @@ def _csv(value: str) -> str:
     return value
 
 
-def export_timeline(snapshots: Sequence[tuple[int, dict]]) -> TimelineExport:
-    """Diff consecutive bank snapshots into per-narrative growth series.
+def export_timeline(bank_log: Iterable[tuple[int, list[dict]]]) -> TimelineExport:
+    """Fold a run's bank log into per-narrative growth series.
 
     A narrative is tracked by its (owner, topic) key; a consolidation
     that renames the topic shows up as one narrative ending and another
-    beginning.
+    beginning. The series are those of a diff of the whole bank after
+    each iteration, but only the narratives an iteration touched are
+    compared.
     """
+    bank = MemoryBank()
     timelines: dict[tuple[str, str], NarrativeTimeline] = {}
     prev: dict[tuple[str, str], tuple[int, int]] = {}
     iterations = []
-    for iteration, bank_dict in snapshots:
+    for iteration, events in bank_log:
         iterations.append(iteration)
-        for nd in bank_dict.get("narratives", []):
-            key = (nd["owner"], nd["topic"])
-            frag_count = len(nd.get("fragments", []))
-            sub_count = len(nd.get("subplots", []))
+        touched: dict[int, Narrative] = {}
+        for event in events:
+            narrative = bank.apply(event)
+            if event["op"] in ("create", "rename"):
+                # the bank moves it to its end; new keys are listed in bank order
+                touched.pop(id(narrative), None)
+            touched[id(narrative)] = narrative
+        for n in touched.values():
+            key = (n.owner, n.topic)
+            frag_count = len(n.fragments)
+            sub_count = len(n.subplots)
             tl = timelines.get(key)
             if tl is None:
                 tl = NarrativeTimeline(owner=key[0], topic=key[1])

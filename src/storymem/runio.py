@@ -4,10 +4,14 @@ A run directory is the durable artifact of one replay:
 
     config.json       - everything needed to reproduce the run
     records.jsonl     - one line per iteration (latencies are wall-clock)
-    snapshots/        - iter-NNNN.json bank snapshots
+    bank_log.jsonl    - one line per clean iteration: the bank changes it made
     episodic.json     - final narrative bank
     semantic.jsonl    - final triple store
     exchanges.jsonl   - every prompt/completion, for audit
+
+Each bank-log line is {"iteration": i, "events": [...]}, with the events
+of MemoryBank.drain_events(); folding the lines up to iteration i over
+an empty bank with MemoryBank.apply gives the bank after iteration i.
 
 All JSON is written with sorted keys; under a scripted backend every
 file except the latency fields inside records.jsonl is reproducible
@@ -21,7 +25,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import MissingBank, MissingSnapshots
+from .errors import CorruptSnapshot, MissingBank, MissingBankLog
 from .transcript import Transcript
 
 
@@ -38,8 +42,8 @@ class RunPaths:
         return self.root / "records.jsonl"
 
     @property
-    def snapshots(self) -> Path:
-        return self.root / "snapshots"
+    def bank_log(self) -> Path:
+        return self.root / "bank_log.jsonl"
 
     @property
     def episodic(self) -> Path:
@@ -58,10 +62,12 @@ def _dump(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _dump_line(row) -> str:
+    return json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def _dump_lines(rows) -> str:
-    return "".join(
-        json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows
-    )
+    return "".join(_dump_line(row) for row in rows)
 
 
 def transcript_stamp(transcript: Transcript, path: str | Path | None) -> dict:
@@ -79,17 +85,33 @@ def transcript_stamp(transcript: Transcript, path: str | Path | None) -> dict:
 
 
 class RunWriter:
+    """Writes one run directory.
+
+    The bank log is started afresh when the writer is made and stays
+    open for appending; close() (or leaving a with block) flushes and
+    closes it.
+    """
+
     def __init__(self, root: str | Path) -> None:
         self.paths = RunPaths(Path(root))
         self.paths.root.mkdir(parents=True, exist_ok=True)
-        self.paths.snapshots.mkdir(exist_ok=True)
+        self._log = self.paths.bank_log.open("w", encoding="utf-8")
+
+    def __enter__(self) -> RunWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._log.close()
 
     def write_config(self, config: dict) -> None:
         self.paths.config.write_text(_dump(config))
 
-    def write_snapshot(self, iteration: int, bank_dict: dict) -> None:
-        path = self.paths.snapshots / f"iter-{iteration:04d}.json"
-        path.write_text(_dump(bank_dict))
+    def write_snapshot(self, iteration: int, events: list[dict]) -> None:
+        """Append the bank log's line for one iteration."""
+        self._log.write(_dump_line({"iteration": iteration, "events": events}))
 
     def write_records(self, records: list[dict]) -> None:
         self.paths.records.write_text(_dump_lines(records))
@@ -139,14 +161,22 @@ class RunReader:
             raise MissingBank(f"{self.paths.semantic} not found")
         return self.paths.semantic.read_text()
 
-    def snapshots(self) -> list[tuple[int, dict]]:
-        """(iteration, bank dict) pairs in iteration order."""
-        if not self.paths.snapshots.is_dir():
-            raise MissingSnapshots(f"{self.paths.snapshots} not found")
+    def bank_log(self) -> list[tuple[int, list[dict]]]:
+        """(iteration, events) pairs, in the order the run wrote them."""
+        if not self.paths.bank_log.exists():
+            raise MissingBankLog(f"{self.paths.bank_log} not found")
         out = []
-        for path in sorted(self.paths.snapshots.glob("iter-*.json")):
-            iteration = int(path.stem.split("-")[1])
-            out.append((iteration, json.loads(path.read_text())))
+        with self.paths.bank_log.open(encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                    out.append((int(row["iteration"]), list(row["events"])))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CorruptSnapshot(
+                        f"{self.paths.bank_log}:{number}: malformed line: {exc!r}"
+                    ) from exc
         if not out:
-            raise MissingSnapshots(f"no snapshots under {self.paths.snapshots}")
+            raise MissingBankLog(f"{self.paths.bank_log} is empty")
         return out

@@ -68,8 +68,18 @@ def test_deterministic_replay(tmp_path, transcript, script_table):
     try:
         started = time.perf_counter()
         runs = []
+        live: list[tuple[int, dict]] = []  # the bank after each drained turn, run one
         for name in ("one", "two"):
             engine = MemoryEngine(EngineConfig(B=0), ScriptedBackend(script_table))
+            if name == "one":
+                drain = engine.drain
+
+                def capturing_drain(engine=engine, drain=drain):
+                    failures = drain()
+                    live.append((engine.iteration, engine.bank.to_dict()))
+                    return failures
+
+                engine.drain = capturing_drain
             try:
                 runs.append(
                     run_replay(engine, transcript, tmp_path / name,
@@ -84,11 +94,16 @@ def test_deterministic_replay(tmp_path, transcript, script_table):
         assert a.exchanges.read_bytes() == b.exchanges.read_bytes()
         assert a.config.read_bytes() == b.config.read_bytes()
         assert _strip_latencies(a.records) == _strip_latencies(b.records)
-        names_a = sorted(p.name for p in a.snapshots.glob("iter-*.json"))
-        names_b = sorted(p.name for p in b.snapshots.glob("iter-*.json"))
-        assert names_a == names_b and len(names_a) == 60
-        for name in names_a:
-            assert (a.snapshots / name).read_bytes() == (b.snapshots / name).read_bytes()
+        assert a.bank_log.read_bytes() == b.bank_log.read_bytes()
+        # the log folds to the live bank at every iteration
+        bank = MemoryBank()
+        folded = []
+        for iteration, events in RunReader(a.root).bank_log():
+            for event in events:
+                bank.apply(event)
+            folded.append((iteration, bank.to_dict()))
+        assert len(folded) == 60
+        assert folded == live
         assert elapsed < 10.0, f"two replays took {elapsed:.1f}s"
         ok = True
     finally:

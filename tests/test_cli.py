@@ -85,7 +85,8 @@ def test_run_writes_artifacts(cli_run_dir):
     for name in ("config.json", "records.jsonl", "episodic.json",
                  "semantic.jsonl", "exchanges.jsonl"):
         assert (cli_run_dir / name).exists()
-    assert len(list((cli_run_dir / "snapshots").glob("iter-*.json"))) == 60
+    log = (cli_run_dir / "bank_log.jsonl").read_text().splitlines()
+    assert [json.loads(line)["iteration"] for line in log] == list(range(1, 61))
     config = json.loads((cli_run_dir / "config.json").read_text())
     assert config["engine"]["B"] == 0
     assert config["backend"]["kind"] == "scripted"

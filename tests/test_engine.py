@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from datetime import datetime, timedelta
 
 import pytest
@@ -179,8 +181,8 @@ def test_offline_work_is_independent_of_buffer(b0_run, b4_run):
 
 def test_run_artifacts_on_disk(b0_run, transcript):
     engine, paths = b0_run
-    assert sorted(p.name for p in paths.snapshots.glob("iter-*.json"))[0] == "iter-0001.json"
-    assert len(list(paths.snapshots.glob("iter-*.json"))) == 60
+    log = [json.loads(line) for line in paths.bank_log.read_text().splitlines()]
+    assert [row["iteration"] for row in log] == list(range(1, 61))
     config = json.loads(paths.config.read_text())
     assert config["engine"]["B"] == 0
     assert config["transcript"]["scenario_id"] == "synthetic-60"
@@ -305,6 +307,25 @@ def test_restore_matches_live_engine(b0_run, transcript, script_table):
         restored.close()
 
 
+def test_closed_engine_is_freed_without_the_cycle_collector(tmp_path, transcript):
+    gc.collect()
+    gc.disable()
+    try:
+        engine = MemoryEngine(EngineConfig(B=0), RuleBackend())
+        try:
+            run_replay(engine, transcript, tmp_path / "run")
+            engine.step(transcript.sessions[0].turns[0], generate=True)
+            engine.drain()
+            engine.ask(transcript.questions[0].text)
+        finally:
+            engine.close()
+        freed = weakref.ref(engine)
+        del engine
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 # --- failure handling ----------------------------------------------------------------
 
 
@@ -323,7 +344,8 @@ def test_script_miss_aborts_and_flushes(tmp_path, transcript, script_table):
     assert len(json.loads((out / "episodic.json").read_text())["narratives"]) == 8
     records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
     assert len(records) == 22
-    assert len(list((out / "snapshots").glob("iter-*.json"))) == 21
+    # the log holds the clean turns and was flushed and closed on abort
+    assert len((out / "bank_log.jsonl").read_text().splitlines()) == 21
 
 
 class CorruptOneKind(Backend):

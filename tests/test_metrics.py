@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+from datetime import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storymem.backends import Backend, RuleBackend
+from storymem.episodic import MemoryBank
 from storymem.errors import EmptySamples, ZeroHistory
 from storymem.metrics import (
     compression_rate,
@@ -23,7 +27,7 @@ from storymem.metrics import (
 )
 from storymem.prompts import PromptKind
 from storymem.reasoner import Reasoner
-from storymem.runio import RunReader
+from storymem.runio import RunReader, RunWriter
 from storymem.transcript import EvalQuestion
 
 
@@ -219,9 +223,9 @@ def test_offline_series_accumulates():
 # --- timeline export ---------------------------------------------------------------------
 
 
-def test_export_timeline_from_run_snapshots(b0_run):
+def test_export_timeline_from_run_bank_log(b0_run):
     _, paths = b0_run
-    timeline = export_timeline(RunReader(paths.root).snapshots())
+    timeline = export_timeline(RunReader(paths.root).bank_log())
     assert timeline.iterations == list(range(1, 61))
     assert len(timeline.narratives) == 20
     # the init batch lands 20 fragments at the crossing tick
@@ -232,21 +236,22 @@ def test_export_timeline_from_run_snapshots(b0_run):
     assert markers == {23, 25, 26, 31, 32, 37, 38, 43, 44, 49, 50, 55, 56}
 
 
-def synthetic_snapshots():
-    def bank(*narratives):
-        return {"narratives": [
-            {"owner": o, "topic": t, "fragments": [{}] * frags, "subplots": [{}] * subs}
-            for o, t, frags, subs in narratives
-        ]}
+TS = datetime(2023, 5, 1, 9, 0)
 
-    return [
-        (1, bank(("A,B", "The move", 2, 0))),
-        (2, bank(("A,B", "The move", 3, 1), ("C", 'say "hi"', 1, 0))),
-    ]
+
+def synthetic_bank_log():
+    bank = MemoryBank()
+    mover = bank.extend("A,B", "The move", ["one", "two"], TS, ("s1t1",), iteration=1)
+    log = [(1, bank.drain_events())]
+    bank.extend("A,B", "The move", ["three"], TS, ("s1t2",), iteration=2)
+    bank.consolidate(mover, 0, [("start", 0, 1)])
+    bank.extend("C", 'say "hi"', ["hello"], TS, ("s1t3",), iteration=2)
+    log.append((2, bank.drain_events()))
+    return log
 
 
 def test_export_timeline_diffs_and_csv_quoting():
-    timeline = export_timeline(synthetic_snapshots())
+    timeline = export_timeline(synthetic_bank_log())
     by_key = {(n.owner, n.topic): n for n in timeline.narratives}
     mover = by_key[("A,B", "The move")]
     assert mover.bound == {1: 2, 2: 1}
@@ -262,12 +267,122 @@ def test_export_timeline_diffs_and_csv_quoting():
 
 
 def test_export_timeline_to_dict():
-    timeline = export_timeline(synthetic_snapshots())
+    timeline = export_timeline(synthetic_bank_log())
     data = timeline.to_dict()
     assert data["iterations"] == [1, 2]
     mover = next(n for n in data["narratives"] if n["topic"] == "The move")
     assert mover["bound"] == {"1": 2, "2": 1}
     assert mover["markers"] == [2]
+
+
+def timeline_from_snapshots(snapshots):
+    """Reference: the timeline as a diff of per-iteration bank dicts."""
+    timelines = {}
+    prev = {}
+    iterations = []
+    for iteration, bank_dict in snapshots:
+        iterations.append(iteration)
+        for nd in bank_dict["narratives"]:
+            key = (nd["owner"], nd["topic"])
+            frag_count = len(nd["fragments"])
+            sub_count = len(nd["subplots"])
+            tl = timelines.setdefault(key, {"owner": key[0], "topic": key[1],
+                                            "bound": {}, "markers": []})
+            old_frags, old_subs = prev.get(key, (0, 0))
+            if frag_count > old_frags:
+                tl["bound"][str(iteration)] = frag_count - old_frags
+            if sub_count > old_subs:
+                tl["markers"].append(iteration)
+            prev[key] = (frag_count, sub_count)
+    return {"iterations": iterations, "narratives": list(timelines.values())}
+
+
+def fold(bank_log):
+    """(iteration, bank dict) after each line of a bank log."""
+    bank = MemoryBank()
+    out = []
+    for iteration, events in bank_log:
+        for event in events:
+            bank.apply(event)
+        out.append((iteration, bank.to_dict()))
+    return out
+
+
+def test_topic_rename_through_the_log():
+    bank = MemoryBank()
+    live, log = [], []
+
+    def end_iteration(i):
+        log.append((i, bank.drain_events()))
+        live.append((i, bank.to_dict()))
+
+    trip = bank.extend("Ava", "The trip", ["packed", "booked"], TS, ("s1t1",), iteration=1)
+    bank.extend("Ben", "Chess", ["won"], TS, ("s1t2",), iteration=1)
+    end_iteration(1)
+    bank.extend("Ava", "The trip", ["flew"], TS, ("s1t3",), iteration=2)
+    end_iteration(2)
+    bank.consolidate(trip, 0, [("getting ready", 0, 1)])
+    assert bank.rename_topic(trip, "Travel  plans")
+    end_iteration(3)
+    bank.extend("Ava", "Travel plans", ["landed"], TS, ("s1t4",), iteration=4)
+    end_iteration(4)
+
+    assert log[2][1][-1] == {
+        "op": "rename", "owner": "Ava", "topic": "The trip", "new_topic": "Travel plans",
+    }
+    assert fold(log) == live
+    timeline = export_timeline(log)
+    assert timeline.to_dict() == timeline_from_snapshots(live)
+    by_key = {(n.owner, n.topic): n for n in timeline.narratives}
+    # the old key ends at the rename; the new key begins with every fragment
+    assert by_key[("Ava", "The trip")].bound == {1: 2, 2: 1}
+    assert by_key[("Ava", "Travel plans")].bound == {3: 3, 4: 1}
+    assert by_key[("Ava", "Travel plans")].markers == [3]
+
+
+def test_timeline_stays_in_order_past_9999(tmp_path):
+    with RunWriter(tmp_path / "run") as writer:
+        for i in (9998, 9999, 10000, 10001):
+            writer.write_snapshot(i, [])
+    timeline = export_timeline(RunReader(tmp_path / "run").bank_log())
+    assert timeline.iterations == [9998, 9999, 10000, 10001]
+
+
+OWNERS = ("Ava", "Ben")
+TOPICS = ("trip", "Trip", "chess", "bread", "garden")
+bank_ops = st.one_of(
+    st.tuples(st.just("extend"), st.sampled_from(OWNERS), st.sampled_from(TOPICS),
+              st.integers(0, 2)),
+    st.tuples(st.just("consolidate"), st.integers(0, 9), st.integers(0, 3)),
+    st.tuples(st.just("rename"), st.integers(0, 9), st.sampled_from(TOPICS)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(bank_ops, max_size=5), min_size=1, max_size=8))
+def test_bank_log_folds_to_the_live_bank_and_its_timeline(iterations):
+    """Every change made through the bank, renames back and forth and
+    several in one iteration included, folds back to the live bank; and
+    the timeline from the log is the diff of the live banks."""
+    bank = MemoryBank()
+    live, log = [], []
+    for i, ops in enumerate(iterations, 1):
+        for op in ops:
+            narratives = bank.narratives()
+            if op[0] == "extend":
+                texts = [f"{op[2]} {i}.{j}" for j in range(op[3])]
+                bank.extend(op[1], op[2], texts, TS, (f"s1t{i}",), iteration=i)
+            elif narratives:
+                n = narratives[op[1] % len(narratives)]
+                if op[0] == "consolidate":
+                    start, _ = n.consolidation_window(4)
+                    bank.consolidate(n, start, [("part", 0, op[2])])
+                else:
+                    bank.rename_topic(n, op[2])
+        log.append((i, bank.drain_events()))
+        live.append((i, bank.to_dict()))
+    assert fold(log) == live
+    assert export_timeline(log).to_dict() == timeline_from_snapshots(live)
 
 
 # --- report rendering ------------------------------------------------------------------

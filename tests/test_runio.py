@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from storymem.errors import MissingBank, MissingSnapshots
+from storymem.errors import CorruptSnapshot, MissingBank, MissingBankLog
 from storymem.runio import RunReader, RunWriter, transcript_stamp
 from storymem.transcript import ingest_native
 
@@ -15,13 +15,13 @@ TRANSCRIPT_PATH = Path(__file__).resolve().parents[1] / "fixtures" / "synthetic6
 
 def test_writer_reader_round_trip(tmp_path):
     root = tmp_path / "run"
-    writer = RunWriter(root)
-    writer.write_config({"engine": {"T": 5}, "backend": {"kind": "rule"}})
-    writer.write_snapshot(1, {"narratives": []})
-    writer.write_snapshot(12, {"narratives": [{"owner": "A"}]})
-    writer.write_records([{"iteration": 1}, {"iteration": 2}])
-    writer.write_exchanges([{"kind": "answer", "digest": "d"}])
-    writer.write_final({"narratives": []}, '{"subject": "A"}\n')
+    with RunWriter(root) as writer:
+        writer.write_config({"engine": {"T": 5}, "backend": {"kind": "rule"}})
+        writer.write_snapshot(1, [])
+        writer.write_snapshot(12, [{"op": "create", "owner": "A", "topic": "T"}])
+        writer.write_records([{"iteration": 1}, {"iteration": 2}])
+        writer.write_exchanges([{"kind": "answer", "digest": "d"}])
+        writer.write_final({"narratives": []}, '{"subject": "A"}\n')
 
     reader = RunReader(root)
     assert reader.config() == {"engine": {"T": 5}, "backend": {"kind": "rule"}}
@@ -29,25 +29,38 @@ def test_writer_reader_round_trip(tmp_path):
     assert reader.exchanges() == [{"kind": "answer", "digest": "d"}]
     assert reader.episodic_dict() == {"narratives": []}
     assert reader.semantic_jsonl() == '{"subject": "A"}\n'
-    assert reader.snapshots() == [
-        (1, {"narratives": []}),
-        (12, {"narratives": [{"owner": "A"}]}),
+    assert reader.bank_log() == [
+        (1, []),
+        (12, [{"op": "create", "owner": "A", "topic": "T"}]),
     ]
 
 
-def test_snapshot_files_use_padded_names(tmp_path):
-    writer = RunWriter(tmp_path / "run")
-    writer.write_snapshot(7, {})
-    writer.write_snapshot(1234, {})
-    names = sorted(p.name for p in (tmp_path / "run" / "snapshots").iterdir())
-    assert names == ["iter-0007.json", "iter-1234.json"]
+def test_bank_log_is_one_sorted_line_per_iteration(tmp_path):
+    with RunWriter(tmp_path / "run") as writer:
+        writer.write_snapshot(7, [{"topic": "T", "owner": "Ä", "op": "create"}])
+        writer.write_snapshot(1234, [])
+    text = (tmp_path / "run" / "bank_log.jsonl").read_text(encoding="utf-8")
+    assert text == (
+        '{"events": [{"op": "create", "owner": "Ä", "topic": "T"}], "iteration": 7}\n'
+        '{"events": [], "iteration": 1234}\n'
+    )
 
 
-def test_snapshots_sort_numerically(tmp_path):
-    writer = RunWriter(tmp_path / "run")
-    for i in (2, 10, 1):
-        writer.write_snapshot(i, {"i": i})
-    assert [i for i, _ in RunReader(tmp_path / "run").snapshots()] == [1, 2, 10]
+def test_new_writer_starts_the_bank_log_afresh(tmp_path):
+    with RunWriter(tmp_path / "run") as writer:
+        writer.write_snapshot(1, [])
+    RunWriter(tmp_path / "run").close()
+    with pytest.raises(MissingBankLog):
+        RunReader(tmp_path / "run").bank_log()  # the file exists but holds no line
+
+
+def test_bank_log_rejects_malformed_lines(tmp_path):
+    root = tmp_path / "run"
+    root.mkdir()
+    for text in ('{"iteration": 1}\n', '{"iteration": "x", "events": []}\n', "[1]\n", "{\n"):
+        (root / "bank_log.jsonl").write_text(text)
+        with pytest.raises(CorruptSnapshot):
+            RunReader(root).bank_log()
 
 
 def test_reader_requires_directory(tmp_path):
@@ -57,8 +70,8 @@ def test_reader_requires_directory(tmp_path):
 
 def test_reader_missing_pieces(tmp_path):
     root = tmp_path / "run"
-    writer = RunWriter(root)
-    writer.write_config({})
+    root.mkdir()
+    (root / "config.json").write_text("{}")
     reader = RunReader(root)
     assert reader.records() == []
     assert reader.exchanges() == []
@@ -66,13 +79,13 @@ def test_reader_missing_pieces(tmp_path):
         reader.episodic_dict()
     with pytest.raises(MissingBank):
         reader.semantic_jsonl()
-    with pytest.raises(MissingSnapshots):
-        reader.snapshots()  # directory exists but holds no snapshots
+    with pytest.raises(MissingBankLog):
+        reader.bank_log()
 
 
 def test_config_is_stable_json(tmp_path):
-    writer = RunWriter(tmp_path / "run")
-    writer.write_config({"b": 1, "a": {"z": 2, "y": 3}})
+    with RunWriter(tmp_path / "run") as writer:
+        writer.write_config({"b": 1, "a": {"z": 2, "y": 3}})
     text = (tmp_path / "run" / "config.json").read_text()
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
