@@ -224,6 +224,8 @@ class MemoryEngine:
         self._history: list[Turn] = []
         # formatted history line -> first turn with that line (provenance lookup)
         self._line_index: dict[str, Turn] = {}
+        # whitespace tokens of format_history(self._history), kept as turns arrive
+        self._history_tokens = 0
         self._iteration = 0
         self._mem_init_done = False
         self._records: list[IterationRecord] = []
@@ -243,7 +245,9 @@ class MemoryEngine:
 
     def _remember(self, turn: Turn) -> None:
         self._history.append(turn)
-        self._line_index.setdefault(format_turn(turn), turn)
+        line = format_turn(turn)
+        self._line_index.setdefault(line, turn)
+        self._history_tokens += count_tokens(line)
 
     @property
     def history(self) -> list[Turn]:
@@ -380,7 +384,7 @@ class MemoryEngine:
         """Answer an evaluation question without advancing the conversation."""
         start = time.perf_counter()
         self._set_phase(self._iteration, "eval")
-        full_tokens = count_tokens(format_history(self._history)) if self._history else 0
+        full_tokens = self._history_tokens
         use_memory = len(self._history) > self.config.switch_threshold and len(self.bank) > 0
         if not use_memory:
             full_stories = format_history(self._history)
@@ -393,8 +397,8 @@ class MemoryEngine:
                 path="full_context",
                 retrieval=None,
                 buffer_turn_ids=tuple(t.turn_id for t in self._history),
-                context_tokens=count_tokens(full_stories),
-                memory_tokens=count_tokens(full_stories),
+                context_tokens=full_tokens,
+                memory_tokens=full_tokens,
                 full_history_tokens=full_tokens,
                 latency=time.perf_counter() - start,
             )
@@ -580,7 +584,7 @@ class MemoryEngine:
     # --- state restore (query/eval over a finished run) ---------------------------
 
     def restore(self, transcript: Transcript, bank: MemoryBank, store: TripleStore) -> None:
-        self._history, self._line_index = [], {}
+        self._history, self._line_index, self._history_tokens = [], {}, 0
         for turn in replay(transcript):
             self._remember(turn)
         self._iteration = len(self._history)
@@ -612,9 +616,8 @@ def run_replay(
         for turn in replay(transcript):
             engine.step(turn, generate=False)
             failures = engine.drain()
-            hard = [f for f in failures if isinstance(f, Exception)]
-            if hard:
-                aborted = hard[0]
+            if failures:
+                aborted = failures[0]
                 break
             writer.write_snapshot(engine.iteration, engine.bank.drain_events())
 

@@ -4,6 +4,14 @@ Takes an engine restored from a run directory and the question set, and
 produces the report sections requested: answers judged for correctness,
 evidence coverage swept over k, per-question compression, latency
 percentiles, and constraint recall.
+
+One evaluation retrieves for each question several times: once to
+answer, once per k of the coverage sweep, and once for recall. The
+translate prompt depends only on the question, and the retrieval prompt
+at the engine's k recurs across all three, so the whole evaluation runs
+inside the Reasoner's memoized() scope and sends each distinct prompt
+once. With a deterministic backend the report and traces are the same
+as without the memo.
 """
 
 from __future__ import annotations
@@ -42,104 +50,106 @@ def run_evaluation(
     """Returns (report dict, per-query retrieval traces).
 
     Mode failures are isolated: a section that errors is reported as
-    {"error": ...} instead of sinking the whole evaluation.
+    {"error": ...} instead of sinking the whole evaluation. Each distinct
+    prompt reaches the backend once per call.
     """
-    modes = list(modes)
-    report: dict = {"modes": modes, "retriever": retriever, "k": engine.config.k}
-    traces: list[dict] = []
+    with engine.reasoner.memoized():
+        modes = list(modes)
+        report: dict = {"modes": modes, "retriever": retriever, "k": engine.config.k}
+        traces: list[dict] = []
 
-    answers: dict[str, str] = {}
-    compressions: list[float] = []
-    ask_latencies: list[float] = []
-    need_answers = "jscore" in modes or "compression" in modes or "latency" in modes
-    if need_answers:
-        for q in questions:
+        answers: dict[str, str] = {}
+        compressions: list[float] = []
+        ask_latencies: list[float] = []
+        need_answers = "jscore" in modes or "compression" in modes or "latency" in modes
+        if need_answers:
+            for q in questions:
+                try:
+                    outcome = engine.ask(q.text, retriever=retriever)
+                except (BackendError, ParseFailure, SchemaMismatch) as exc:
+                    logger.warning("question %s failed: %s", q.question_id, exc)
+                    continue
+                answers[q.question_id] = outcome.answer
+                ask_latencies.append(outcome.latency)
+                if outcome.retrieval is not None:
+                    trace = outcome.retrieval.trace()
+                    trace["question_id"] = q.question_id
+                    trace["answer"] = outcome.answer
+                    traces.append(trace)
+                try:
+                    compressions.append(
+                        compression_rate(outcome.full_history_tokens, outcome.context_tokens)
+                    )
+                except ZeroHistory:
+                    pass
+            report["answers"] = answers
+
+        if "jscore" in modes:
             try:
-                outcome = engine.ask(q.text, retriever=retriever)
-            except (BackendError, ParseFailure, SchemaMismatch) as exc:
-                logger.warning("question %s failed: %s", q.question_id, exc)
-                continue
-            answers[q.question_id] = outcome.answer
-            ask_latencies.append(outcome.latency)
-            if outcome.retrieval is not None:
-                trace = outcome.retrieval.trace()
-                trace["question_id"] = q.question_id
-                trace["answer"] = outcome.answer
-                traces.append(trace)
-            try:
-                compressions.append(
-                    compression_rate(outcome.full_history_tokens, outcome.context_tokens)
+                report["jscore"] = j_score(
+                    questions, answers, engine.reasoner, exclude_unjudgeable=exclude_unjudgeable
                 )
-            except ZeroHistory:
-                pass
-        report["answers"] = answers
+            except Exception as exc:  # noqa: BLE001 - mode isolation
+                logger.warning("jscore section failed: %s", exc)
+                report["jscore"] = {"error": str(exc)}
 
-    if "jscore" in modes:
-        try:
-            report["jscore"] = j_score(
-                questions, answers, engine.reasoner, exclude_unjudgeable=exclude_unjudgeable
+        if "coverage" in modes:
+            try:
+                sweep = {}
+                for k in k_sweep:
+                    retrieved = {}
+                    for q in questions:
+                        result, buffer_ids = engine.retrieve(q.text, k=k, retriever=retriever)
+                        retrieved[q.question_id] = result.retrieved_turn_ids | set(buffer_ids)
+                    sweep[str(k)] = coverage_rate(questions, retrieved)
+                report["coverage"] = sweep
+            except Exception as exc:  # noqa: BLE001 - mode isolation
+                logger.warning("coverage section failed: %s", exc)
+                report["coverage"] = {"error": str(exc)}
+
+        if "compression" in modes:
+            report["compression"] = (
+                distribution(compressions) if compressions else {"error": "no samples"}
             )
-        except Exception as exc:  # noqa: BLE001 - mode isolation
-            logger.warning("jscore section failed: %s", exc)
-            report["jscore"] = {"error": str(exc)}
 
-    if "coverage" in modes:
-        try:
-            sweep = {}
-            for k in k_sweep:
+        if "latency" in modes:
+            section: dict = {}
+            online = [float(r.get("online_latency", 0.0)) for r in records]
+            offline = [float(r.get("offline_latency", 0.0)) for r in records]
+            if online:
+                section["online"] = list(latency_percentiles(online))
+            if offline:
+                section["offline"] = list(latency_percentiles(offline))
+            if ask_latencies:
+                section["answer"] = list(latency_percentiles(ask_latencies))
+            report["latency"] = section or {"error": "no samples"}
+
+        if "recall" in modes:
+            try:
+                if constraints is None:
+                    # Without an instruction file, the eval questions stand in:
+                    # each question's evidence turns are its constraint set.
+                    instructions = [
+                        {
+                            "id": q.question_id,
+                            "text": q.text,
+                            "constraint_turn_ids": sorted(q.evidence_turn_ids),
+                        }
+                        for q in questions
+                        if q.evidence_turn_ids
+                    ]
+                else:
+                    instructions = list(constraints)
                 retrieved = {}
-                for q in questions:
-                    result, buffer_ids = engine.retrieve(q.text, k=k, retriever=retriever)
-                    retrieved[q.question_id] = result.retrieved_turn_ids | set(buffer_ids)
-                sweep[str(k)] = coverage_rate(questions, retrieved)
-            report["coverage"] = sweep
-        except Exception as exc:  # noqa: BLE001 - mode isolation
-            logger.warning("coverage section failed: %s", exc)
-            report["coverage"] = {"error": str(exc)}
+                for inst in instructions:
+                    result, buffer_ids = engine.retrieve(inst["text"], retriever=retriever)
+                    retrieved[inst["id"]] = result.retrieved_turn_ids | set(buffer_ids)
+                report["recall"] = constraint_recall(
+                    [(inst["id"], inst["constraint_turn_ids"]) for inst in instructions],
+                    retrieved,
+                )
+            except Exception as exc:  # noqa: BLE001 - mode isolation
+                logger.warning("recall section failed: %s", exc)
+                report["recall"] = {"error": str(exc)}
 
-    if "compression" in modes:
-        report["compression"] = (
-            distribution(compressions) if compressions else {"error": "no samples"}
-        )
-
-    if "latency" in modes:
-        section: dict = {}
-        online = [float(r.get("online_latency", 0.0)) for r in records]
-        offline = [float(r.get("offline_latency", 0.0)) for r in records]
-        if online:
-            section["online"] = list(latency_percentiles(online))
-        if offline:
-            section["offline"] = list(latency_percentiles(offline))
-        if ask_latencies:
-            section["answer"] = list(latency_percentiles(ask_latencies))
-        report["latency"] = section or {"error": "no samples"}
-
-    if "recall" in modes:
-        try:
-            if constraints is None:
-                # Without an instruction file, the eval questions stand in:
-                # each question's evidence turns are its constraint set.
-                instructions = [
-                    {
-                        "id": q.question_id,
-                        "text": q.text,
-                        "constraint_turn_ids": sorted(q.evidence_turn_ids),
-                    }
-                    for q in questions
-                    if q.evidence_turn_ids
-                ]
-            else:
-                instructions = list(constraints)
-            retrieved = {}
-            for inst in instructions:
-                result, buffer_ids = engine.retrieve(inst["text"], retriever=retriever)
-                retrieved[inst["id"]] = result.retrieved_turn_ids | set(buffer_ids)
-            report["recall"] = constraint_recall(
-                [(inst["id"], inst["constraint_turn_ids"]) for inst in instructions],
-                retrieved,
-            )
-        except Exception as exc:  # noqa: BLE001 - mode isolation
-            logger.warning("recall section failed: %s", exc)
-            report["recall"] = {"error": str(exc)}
-
-    return report, traces
+        return report, traces

@@ -5,12 +5,20 @@ invokes the backend, reports the exchange to an optional observer (the
 engine uses this to write the audit log), and parses the completion
 into a typed verdict. Parse failures surface as typed errors; nothing
 is fabricated on the model's behalf.
+
+Inside a memoized() scope, a (kind, rendered prompt) pair already sent
+from the same thread is answered from the scope's table instead of the
+backend. A hit sends nothing, so the observer does not see it. The
+table belongs to the thread that opened the scope and is dropped when
+the scope exits.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Callable
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from .backends import Backend
 from .parsing import (
@@ -39,15 +47,32 @@ class Reasoner:
     def __init__(self, backend: Backend, observer: ExchangeObserver | None = None) -> None:
         self.backend = backend
         self._observer = observer
+        self._local = threading.local()
 
-    def set_observer(self, observer: ExchangeObserver | None) -> None:
-        self._observer = observer
+    @contextmanager
+    def memoized(self) -> Iterator[None]:
+        """Send each distinct prompt at most once from this thread until exit.
+
+        The key is the whole rendered prompt, so a changed input is a new
+        key. A scope opened inside another shares the outer table.
+        """
+        outer = getattr(self._local, "memo", None)
+        self._local.memo = {} if outer is None else outer
+        try:
+            yield
+        finally:
+            self._local.memo = outer
 
     def _run(self, kind: PromptKind, inputs: dict):
         rendered = render_prompt(kind, inputs)
-        raw = self.backend.complete(kind, rendered)
-        if self._observer is not None:
-            self._observer(kind, rendered, raw)
+        memo = getattr(self._local, "memo", None)
+        raw = None if memo is None else memo.get((kind, rendered))
+        if raw is None:
+            raw = self.backend.complete(kind, rendered)
+            if memo is not None:
+                memo[(kind, rendered)] = raw
+            if self._observer is not None:
+                self._observer(kind, rendered, raw)
         return parse_structured(kind, raw)
 
     def init_stories(self, conv: str) -> list[InitStory]:

@@ -23,7 +23,8 @@ from storymem.episodic import MemoryBank, Narrative
 from storymem.errors import MalformedInput, ReplayAborted
 from storymem.prompts import PromptKind
 from storymem.semantic import TripleStore
-from storymem.transcript import Session, Transcript, Turn
+from storymem.formatting import format_history
+from storymem.transcript import Session, Transcript, Turn, count_tokens
 
 OFFLINE_KINDS = {"story_init", "memory_binding", "consolidation", "semanticization"}
 
@@ -258,6 +259,33 @@ def test_generation_appends_responses():
     # responses are woven into the history as assistant turns
     speakers = [t.speaker for t in engine.history]
     assert speakers[1::2] == ["assistant"] * 8
+
+
+def test_history_token_total_follows_steps_and_restore(b0_run, transcript, script_table):
+    engine = MemoryEngine(EngineConfig(T=4, B=0), RuleBackend())
+    try:
+        for turn in tiny_transcript(8).turns:
+            engine.step(turn, generate=True)  # each step adds a turn and a response
+            engine.drain()
+            assert engine._history_tokens == count_tokens(format_history(engine.history))
+        assert engine.ask("How did the garden plan go?").full_history_tokens == count_tokens(
+            format_history(engine.history)
+        )
+    finally:
+        engine.close()
+
+    _, paths = b0_run
+    restored = MemoryEngine(EngineConfig(B=0), ScriptedBackend(script_table))
+    try:
+        for _ in range(2):  # a second restore starts the total afresh
+            restored.restore(
+                transcript,
+                MemoryBank.from_dict(json.loads(paths.episodic.read_text())),
+                TripleStore.from_jsonl(paths.semantic.read_text()),
+            )
+            assert restored._history_tokens == count_tokens(format_history(restored.history))
+    finally:
+        restored.close()
 
 
 # --- ask and restore ------------------------------------------------------------------

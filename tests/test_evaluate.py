@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
+
 import pytest
 
 from storymem.backends import Backend, ScriptedBackend
 from storymem.engine import EngineConfig, MemoryEngine
 from storymem.episodic import MemoryBank
 from storymem.errors import BackendError
-from storymem.evaluate import ALL_MODES, run_evaluation
+from storymem.evaluate import ALL_MODES, DEFAULT_K_SWEEP, run_evaluation
+from storymem.metrics import constraint_recall, coverage_rate
 from storymem.prompts import PromptKind
 from storymem.runio import RunReader
 from storymem.semantic import TripleStore
@@ -192,3 +196,139 @@ def test_custom_constraints_override_question_evidence(b0_run, transcript, scrip
     assert report["recall"]["per_instruction"]["c1"] == 100.0
     assert report["recall"]["per_instruction"]["c2"] == 0.0
     assert report["recall"]["mean"] == 50.0
+
+
+# --- each distinct prompt is sent once per evaluation ----------------------------------
+
+
+class Capturing(Backend):
+    """Passes calls through to a backend and keeps every (kind, prompt) sent."""
+
+    name = "capturing"
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.sent: list[tuple[PromptKind, str]] = []
+
+    def complete(self, kind: PromptKind, rendered: str) -> str:
+        self.sent.append((kind, rendered))
+        return self.inner.complete(kind, rendered)
+
+
+def test_evaluation_sends_no_prompt_twice(b0_run, transcript, script_table):
+    _, paths = b0_run
+    backend = Capturing(ScriptedBackend(script_table))
+    engine = restore_engine(paths, transcript, backend)
+    try:
+        run_evaluation(engine, transcript.questions)
+    finally:
+        engine.close()
+    repeats = [pair for pair, n in Counter(backend.sent).items() if n > 1]
+    assert repeats == []
+    # the question alone shapes the translate prompt: one per question
+    kinds = Counter(kind for kind, _ in backend.sent)
+    assert kinds[PromptKind.GRAPH_QUERY_TRANSLATE] == len(transcript.questions)
+    # exchanges log only what reached the backend
+    assert len(engine.exchanges()) == len(backend.sent)
+
+
+def test_evaluation_matches_unmemoized_retrievals(evaluated, b0_run, transcript, script_table):
+    report, traces = evaluated
+    _, paths = b0_run
+    questions = transcript.questions
+    engine = restore_engine(paths, transcript, ScriptedBackend(script_table))
+    try:
+        answers, oracle_traces = {}, []
+        for q in questions:
+            outcome = engine.ask(q.text)
+            answers[q.question_id] = outcome.answer
+            trace = outcome.retrieval.trace()
+            trace["question_id"] = q.question_id
+            trace["answer"] = outcome.answer
+            oracle_traces.append(trace)
+
+        def retrieved(q, k=None):
+            result, buffer_ids = engine.retrieve(q.text, k=k)
+            return result.retrieved_turn_ids | set(buffer_ids)
+
+        coverage = {
+            str(k): coverage_rate(questions, {q.question_id: retrieved(q, k) for q in questions})
+            for k in DEFAULT_K_SWEEP
+        }
+        with_evidence = [q for q in questions if q.evidence_turn_ids]
+        recall = constraint_recall(
+            [(q.question_id, sorted(q.evidence_turn_ids)) for q in with_evidence],
+            {q.question_id: retrieved(q) for q in with_evidence},
+        )
+    finally:
+        engine.close()
+    assert report["answers"] == answers
+    assert traces == oracle_traces
+    assert report["coverage"] == coverage
+    assert report["recall"] == recall
+
+
+def _reaches_backend(engine, backend, question) -> bool:
+    before = len(backend.sent)
+    engine.retrieve(question)
+    return len(backend.sent) > before
+
+
+def test_memo_ends_with_the_evaluation(b0_run, transcript, script_table):
+    _, paths = b0_run
+    question = transcript.questions[0].text
+    backend = Capturing(ScriptedBackend(script_table))
+    engine = restore_engine(paths, transcript, backend)
+    try:
+        run_evaluation(engine, transcript.questions, modes=("recall",))
+        assert _reaches_backend(engine, backend, question)
+    finally:
+        engine.close()
+
+
+class RaiseOn(Capturing):
+    """Raises an error the evaluation does not isolate, on one prompt kind."""
+
+    def __init__(self, inner: Backend, kind: PromptKind):
+        super().__init__(inner)
+        self.kind = kind
+
+    def complete(self, kind: PromptKind, rendered: str) -> str:
+        if kind is self.kind:
+            raise RuntimeError("backend crashed")
+        return super().complete(kind, rendered)
+
+
+def test_memo_ends_when_the_evaluation_raises(b0_run, transcript, script_table):
+    _, paths = b0_run
+    question = transcript.questions[0].text
+    backend = RaiseOn(ScriptedBackend(script_table), PromptKind.ANSWER)
+    engine = restore_engine(paths, transcript, backend)
+    try:
+        with pytest.raises(RuntimeError):
+            # the first question retrieves, then its answer crashes the run
+            run_evaluation(engine, transcript.questions, modes=("jscore",))
+        assert _reaches_backend(engine, backend, question)
+    finally:
+        engine.close()
+
+
+def test_memo_belongs_to_the_thread_that_opened_it(b0_run, transcript, script_table):
+    _, paths = b0_run
+    question = transcript.questions[0].text
+    backend = Capturing(ScriptedBackend(script_table))
+    engine = restore_engine(paths, transcript, backend)
+    reached = []
+    try:
+        with engine.reasoner.memoized():
+            assert _reaches_backend(engine, backend, question)
+            assert not _reaches_backend(engine, backend, question)
+            other = threading.Thread(
+                target=lambda: reached.append(_reaches_backend(engine, backend, question))
+            )
+            other.start()
+            other.join(timeout=30)
+            assert not other.is_alive()
+    finally:
+        engine.close()
+    assert reached == [True]
