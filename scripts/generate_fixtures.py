@@ -443,7 +443,7 @@ def build_contrast_bank() -> MemoryBank:
                 iteration=4,
             )
         lo, hi = row["bait_interval"]
-        narrative.apply_consolidation(0, [(row["bait"], lo, hi)])
+        bank.consolidate(narrative, 0, [(row["bait"], lo, hi)])
     return bank
 
 

@@ -11,6 +11,10 @@ interleave. Every change made through the bank is also recorded as a
 bank-log event: drain_events() hands over the changes since the last
 drain, and apply() replays them, so folding a run's bank log over an
 empty bank rebuilds the bank as it stood after any iteration.
+
+Reads go by key: a narrative by its normalized (owner, topic), a subplot
+by its normalized (owner, headline) through an index the bank keeps as it
+changes, so answering never walks the whole bank.
 """
 
 from __future__ import annotations
@@ -184,13 +188,23 @@ class MemoryBank:
         {"op": "rename", "owner", "topic", "new_topic"}
 
     owner and topic name the narrative as it stood just before the event.
-    A narrative mutated directly through its own methods is not recorded.
+
+    Subplots are also indexed by normalized (owner, headline), for
+    find_subplot. Like the event log, the index sees only changes made
+    through the bank (consolidate, apply, from_dict): a narrative mutated
+    directly through its own methods is neither recorded nor indexed.
     """
 
     def __init__(self) -> None:
         self._narratives: dict[tuple[str, str], Narrative] = {}
         self._lock = threading.RLock()
         self._events: list[dict] = []
+        # (owner, headline), normalized -> its (narrative, subplot) pairs, oldest first
+        self._subplots: dict[tuple[str, str], list[tuple[Narrative, Subplot]]] = {}
+        # id(narrative) -> a rank that grows with each (re-)insertion, so that
+        # ranks sort like the bank's order; a rename moves a narrative last
+        self._rank: dict[int, int] = {}
+        self._next_rank = 0
 
     @property
     def lock(self) -> threading.RLock:
@@ -208,6 +222,30 @@ class MemoryBank:
         with self._lock:
             return self._narratives.get((normalize_label(owner), normalize_label(topic)))
 
+    def find_subplot(self, owner: str, headline: str) -> tuple[Narrative, Subplot] | None:
+        """The owner's subplot under this headline, after normalization.
+
+        When several narratives hold one, the earliest in bank order wins,
+        and within a narrative its first such subplot.
+        """
+        with self._lock:
+            pairs = self._subplots.get((normalize_label(owner), normalize_label(headline)))
+            if not pairs:
+                return None
+            return min(pairs, key=lambda pair: self._rank[id(pair[0])])
+
+    def _insert(self, key: tuple[str, str], narrative: Narrative) -> None:
+        self._narratives[key] = narrative
+        self._rank[id(narrative)] = self._next_rank
+        self._next_rank += 1
+
+    def _index_subplots(self, narrative: Narrative, subplots: Iterable[Subplot]) -> None:
+        owner = normalize_label(narrative.owner)
+        for s in subplots:
+            self._subplots.setdefault((owner, normalize_label(s.headline)), []).append(
+                (narrative, s)
+            )
+
     def get_or_create(self, owner: str, topic: str) -> Narrative:
         with self._lock:
             key = (normalize_label(owner), normalize_label(topic))
@@ -215,7 +253,7 @@ class MemoryBank:
             if narrative is None:
                 narrative = Narrative(owner=" ".join(str(owner).split()),
                                       topic=" ".join(str(topic).split()))
-                self._narratives[key] = narrative
+                self._insert(key, narrative)
                 self._events.append(
                     {"op": "create", "owner": narrative.owner, "topic": narrative.topic}
                 )
@@ -262,9 +300,10 @@ class MemoryBank:
     def consolidate(
         self, narrative: Narrative, window_start: int, items: list[tuple[str, int, int]]
     ) -> list[Subplot]:
-        """Narrative.apply_consolidation, recorded as one event."""
+        """Narrative.apply_consolidation, recorded as one event and indexed."""
         with self._lock:
             created = narrative.apply_consolidation(window_start, items)
+            self._index_subplots(narrative, created)
             self._events.append({
                 "op": "consolidate",
                 "owner": narrative.owner,
@@ -297,7 +336,7 @@ class MemoryBank:
             old_topic = narrative.topic
             del self._narratives[old_key]
             narrative.topic = " ".join(str(new_topic).split())
-            self._narratives[new_key] = narrative
+            self._insert(new_key, narrative)
             self._events.append({
                 "op": "rename",
                 "owner": narrative.owner,
@@ -327,7 +366,7 @@ class MemoryBank:
                     if key in self._narratives:
                         raise CorruptSnapshot(f"bank log creates {key} twice")
                     narrative = Narrative(owner=event["owner"], topic=event["topic"])
-                    self._narratives[key] = narrative
+                    self._insert(key, narrative)
                     return narrative
                 narrative = self._narratives[key]
                 if op == "append":
@@ -336,9 +375,9 @@ class MemoryBank:
                     )
                     narrative.last_bound_iteration = int(event["last_bound_iteration"])
                 elif op == "consolidate":
-                    narrative.subplots.extend(
-                        _subplot_from_dict(sd) for sd in event["subplots"]
-                    )
+                    created = [_subplot_from_dict(sd) for sd in event["subplots"]]
+                    narrative.subplots.extend(created)
+                    self._index_subplots(narrative, created)
                     narrative.consolidated_through = int(event["consolidated_through"])
                 elif op == "rename":
                     new_key = (key[0], normalize_label(event["new_topic"]))
@@ -346,7 +385,7 @@ class MemoryBank:
                         raise CorruptSnapshot(f"bank log renames {key} onto {new_key}")
                     del self._narratives[key]
                     narrative.topic = event["new_topic"]
-                    self._narratives[new_key] = narrative
+                    self._insert(new_key, narrative)
                 else:
                     raise CorruptSnapshot(f"unknown bank-log event {op!r}")
                 return narrative
@@ -392,4 +431,9 @@ class MemoryBank:
                 bank._narratives[narrative.key] = narrative
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptSnapshot(f"malformed snapshot: {exc}") from exc
+        # indexed once loading is done: a repeated key keeps its first slot but
+        # its last narrative, and only that narrative is in the bank
+        for key, narrative in list(bank._narratives.items()):
+            bank._insert(key, narrative)
+            bank._index_subplots(narrative, narrative.subplots)
         return bank

@@ -10,23 +10,23 @@ Two retrievers over the same narrative bank:
   narrative structure beyond the headline text.
 
 A leaf is a subplot where subplots exist, else the whole narrative.
-Choices resolve to fragment blocks by exact (owner, topic) match after
-whitespace normalization; a subplot's headline is its topic. Unresolved
-choices are dropped with a warning, never substituted.
+Choices resolve to fragment blocks by key lookup in the bank: exact
+(owner, topic) after whitespace normalization, where a subplot's
+headline is its topic. Fact patterns are looked up in the triple
+store's indexes. Unresolved choices are dropped with a warning, never
+substituted.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import os
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
-import requests
 
-from .episodic import MemoryBank, Narrative, Subplot, normalize_label
-from .errors import BackendError, BackendUnavailable
+from .episodic import Fragment, MemoryBank, Narrative, Subplot, normalize_label
 from .formatting import facts_text as _facts_text
 from .formatting import coherence_headlines, story_block, subplot_block, tokenize
 from .parsing import RetrievalChoice, TriplePattern
@@ -96,19 +96,19 @@ class RetrievalResult:
         }
 
 
+def _turn_ids(fragments: Iterable[Fragment]) -> tuple[str, ...]:
+    """The fragments' turn ids, first occurrence first, without repeats."""
+    return tuple(dict.fromkeys(t for f in fragments for t in f.turn_ids))
+
+
 def _plot_block(n: Narrative, score: float | None = None) -> RetrievedBlock:
-    seen: list[str] = []
-    for f in n.fragments:
-        for t in f.turn_ids:
-            if t not in seen:
-                seen.append(t)
     return RetrievedBlock(
         owner=n.owner,
         topic=n.topic,
         kind="plot",
         parent_topic=None,
         text=story_block(n),
-        turn_ids=tuple(seen),
+        turn_ids=_turn_ids(n.fragments),
         fragment_count=len(n.fragments),
         score=score,
     )
@@ -116,18 +116,13 @@ def _plot_block(n: Narrative, score: float | None = None) -> RetrievedBlock:
 
 def _sub_block(n: Narrative, s: Subplot, score: float | None = None) -> RetrievedBlock:
     frags = n.subplot_fragments(s)
-    seen: list[str] = []
-    for f in frags:
-        for t in f.turn_ids:
-            if t not in seen:
-                seen.append(t)
     return RetrievedBlock(
         owner=n.owner,
         topic=s.headline,
         kind="subplot",
         parent_topic=n.topic,
         text=subplot_block(n, s),
-        turn_ids=tuple(seen),
+        turn_ids=_turn_ids(frags),
         fragment_count=len(frags),
         score=score,
     )
@@ -136,38 +131,33 @@ def _sub_block(n: Narrative, s: Subplot, score: float | None = None) -> Retrieve
 def resolve_choices(
     bank: MemoryBank, choices: list[RetrievalChoice], k: int
 ) -> list[RetrievedBlock]:
-    """Exact-match choice resolution, deduplicated, truncated to k."""
-    narratives = bank.narratives()
+    """Exact-match choice resolution, deduplicated, truncated to k.
+
+    A plot whose (owner, topic) matches wins over a same-named subplot;
+    among subplots, MemoryBank.find_subplot picks.
+    """
     blocks: list[RetrievedBlock] = []
     seen: set[tuple[str, str, str]] = set()
     for choice in choices:
-        owner = normalize_label(choice.owner)
-        topic = normalize_label(choice.topic)
-        resolved: RetrievedBlock | None = None
-        for n in narratives:
-            if n.key == (owner, topic):
-                resolved = _plot_block(n)
-                break
-        if resolved is None:
-            for n in narratives:
-                if normalize_label(n.owner) != owner:
-                    continue
-                for s in n.subplots:
-                    if normalize_label(s.headline) == topic:
-                        resolved = _sub_block(n, s)
-                        break
-                if resolved is not None:
-                    break
-        if resolved is None:
-            logger.warning(
-                "dropping unresolved retrieval choice (%s, %s)", choice.owner, choice.topic
-            )
-            continue
-        key = (owner, topic, resolved.kind)
+        narrative = bank.find(choice.owner, choice.topic)
+        subplot = None
+        if narrative is None:
+            found = bank.find_subplot(choice.owner, choice.topic)
+            if found is None:
+                logger.warning(
+                    "dropping unresolved retrieval choice (%s, %s)", choice.owner, choice.topic
+                )
+                continue
+            narrative, subplot = found
+        key = (
+            normalize_label(choice.owner),
+            normalize_label(choice.topic),
+            "plot" if subplot is None else "subplot",
+        )
         if key in seen:
             continue
         seen.add(key)
-        blocks.append(resolved)
+        blocks.append(_plot_block(narrative) if subplot is None else _sub_block(narrative, subplot))
         if len(blocks) == k:
             break
     return blocks
@@ -187,8 +177,10 @@ def retrieve_semantic(
 ) -> list[TripleFact]:
     """Graph-pattern retrieval with an entity-neighborhood fallback.
 
-    Empty stores skip the translation call entirely. When every pattern
-    comes back empty, the non-wildcard terms get one neighborhood pass.
+    Each pattern is looked up in the store's field indexes. Empty stores
+    skip the translation call entirely. When every pattern comes back
+    empty, the non-wildcard terms get one pass over the store's exact and
+    token indexes.
     """
     if len(store) == 0:
         return []
@@ -263,55 +255,6 @@ class HashedBagEmbedding:
 
     def embed(self, texts: list[str]) -> np.ndarray:
         return np.stack([self.embed_one(t) for t in texts]) if texts else np.zeros((0, self.dimension))
-
-
-class LiveEmbeddingProvider:
-    """Generic text-embedding HTTP client: {model, input} -> data[i].embedding."""
-
-    kind = "live"
-
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key_env: str = "STORYMEM_API_KEY",
-        timeout: float = 30.0,
-        dimension: int | None = None,
-    ) -> None:
-        self._endpoint = endpoint
-        self._model = model
-        self._api_key_env = api_key_env
-        self._timeout = timeout
-        self.dimension = dimension or 0
-        self._session = requests.Session()
-
-    def embed(self, texts: list[str]) -> np.ndarray:
-        token = os.environ.get(self._api_key_env)
-        if not token:
-            raise BackendUnavailable(f"credential env var {self._api_key_env} is not set")
-        try:
-            resp = self._session.post(
-                self._endpoint,
-                json={"model": self._model, "input": texts},
-                headers={"Authorization": f"Bearer {token}"},
-                timeout=self._timeout,
-            )
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"embedding transport failure: {exc}") from exc
-        if resp.status_code >= 400:
-            raise BackendError(f"embedding HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            data = resp.json()["data"]
-            vectors = [row["embedding"] for row in data]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BackendError(f"malformed embedding response: {exc}") from exc
-        arr = np.asarray(vectors, dtype=np.float64)
-        if self.dimension == 0 and arr.size:
-            self.dimension = arr.shape[1]
-        return arr
-
-    def embed_one(self, text: str) -> np.ndarray:
-        return self.embed([text])[0]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

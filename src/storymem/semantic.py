@@ -5,6 +5,11 @@ and the narrative they were distilled from. Matching is exact on
 whitespace-collapsed, casefolded fields; ``None`` (or ``"?"``) acts as a
 wildcard. Insertion order is preserved and duplicate triples collapse,
 so query results are deterministic.
+
+The store indexes each fact as it is added: by normalized subject,
+predicate and object, and by each whitespace token of the subject and
+the object. Queries look their terms up there instead of scanning and
+re-normalizing every fact.
 """
 
 from __future__ import annotations
@@ -53,6 +58,13 @@ class TripleStore:
     def __init__(self) -> None:
         self._facts: list[TripleFact] = []
         self._seen: set[tuple[str, str, str, str]] = set()
+        # per position in _facts: its identity(), whose first three fields
+        # are the normalized subject, predicate and object
+        self._keys: list[tuple[str, str, str, str]] = []
+        # normalized subject, predicate, object -> positions, ascending
+        self._by_field: tuple[dict[str, list[int]], ...] = ({}, {}, {})
+        # whitespace token of the normalized subject or object -> positions, ascending
+        self._by_token: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._facts)
@@ -66,7 +78,13 @@ class TripleStore:
         if key in self._seen:
             return False
         self._seen.add(key)
+        pos = len(self._facts)
         self._facts.append(fact)
+        self._keys.append(key)
+        for index, term in zip(self._by_field, key):
+            index.setdefault(term, []).append(pos)
+        for token in set(key[0].split()) | set(key[2].split()):
+            self._by_token.setdefault(token, []).append(pos)
         return True
 
     def add_all(self, facts: Iterable[TripleFact]) -> int:
@@ -78,44 +96,43 @@ class TripleStore:
         predicate: str | None = None,
         obj: str | None = None,
     ) -> list[TripleFact]:
-        """Exact-match query; wildcard fields may be None, '', '?' or '*'."""
-        want_s = None if _is_wildcard(subject) else normalize_term(subject)
-        want_p = None if _is_wildcard(predicate) else normalize_term(predicate)
-        want_o = None if _is_wildcard(obj) else normalize_term(obj)
-        out = []
-        for f in self._facts:
-            if want_s is not None and normalize_term(f.subject) != want_s:
-                continue
-            if want_p is not None and normalize_term(f.predicate) != want_p:
-                continue
-            if want_o is not None and normalize_term(f.obj) != want_o:
-                continue
-            out.append(f)
-        return out
+        """Exact-match query; wildcard fields may be None, '', '?' or '*'.
+
+        Walks the shortest index among the bound fields and checks the
+        others on each fact's stored key, so results keep insertion order.
+        """
+        wants = [
+            None if _is_wildcard(term) else normalize_term(term)
+            for term in (subject, predicate, obj)
+        ]
+        bound = [(i, want) for i, want in enumerate(wants) if want is not None]
+        if not bound:
+            return list(self._facts)
+        postings = min(
+            (self._by_field[i].get(want, ()) for i, want in bound), key=len
+        )
+        return [
+            self._facts[pos]
+            for pos in postings
+            if all(self._keys[pos][i] == want for i, want in bound)
+        ]
 
     def entity_neighborhood(self, entity: str) -> list[TripleFact]:
         """Facts whose subject or object mentions the entity.
 
         Exact normalized match first; when that comes up empty, fall back
         to whole-token containment so 'Caroline' still reaches facts about
-        'Caroline Mercer'.
+        'Caroline Mercer'. A needle with a space in it is no token, so the
+        fallback finds nothing for it. Results keep insertion order.
         """
         needle = normalize_term(entity)
         if not needle:
             return []
-        exact = [
-            f
-            for f in self._facts
-            if normalize_term(f.subject) == needle or normalize_term(f.obj) == needle
-        ]
-        if exact:
-            return exact
-        return [
-            f
-            for f in self._facts
-            if needle in normalize_term(f.subject).split()
-            or needle in normalize_term(f.obj).split()
-        ]
+        subject, _, obj = self._by_field
+        positions = sorted(set(subject.get(needle, ())).union(obj.get(needle, ())))
+        if not positions:
+            positions = self._by_token.get(needle, [])
+        return [self._facts[pos] for pos in positions]
 
     # --- serialization ---------------------------------------------------------
 

@@ -340,6 +340,72 @@ def test_triple_store_parity_at_scale():
         _report("triple store query parity (10k facts)", ok)
 
 
+def _naive_neighborhood(facts, entity):
+    def norm(t):
+        return " ".join(str(t).split()).casefold()
+
+    needle = norm(entity)
+    if not needle:
+        return []
+    exact = [f for f in facts if needle in (norm(f.subject), norm(f.obj))]
+    if exact:
+        return exact
+    return [
+        f for f in facts
+        if needle in norm(f.subject).split() or needle in norm(f.obj).split()
+    ]
+
+
+def test_entity_neighborhood_parity_at_scale():
+    ok = False
+    try:
+        rng = random.Random(17)
+        # names recur as subjects, as objects and as words of longer names,
+        # so a needle can hit on either side, exactly or by token
+        subjects = [f"Person {i}" for i in range(60)] + ["Ava", "Marta Ionescu", "the kiln"]
+        predicates = ["likes", "owns", "visited", "works with", "is"]
+        objects = [f"thing {i}" for i in range(300)] + [
+            "the kiln", "seafoam glaze", "Ava", "Ava Ionescu", "a kiln in the garden",
+        ]
+        store = TripleStore()
+        mirror = []
+        while len(store) < 10_000:
+            fact = TripleFact(
+                subject=rng.choice(subjects),
+                predicate=rng.choice(predicates),
+                obj=rng.choice(objects),
+                timestamp=f"2023-05-{rng.randint(1, 28):02d} {rng.randint(0, 23):02d}:00",
+            )
+            if store.add(fact):
+                mirror.append(fact)
+        assert len(store) == 10_000
+
+        needles = [
+            "Ava",  # exact on both sides
+            "Person 7",  # exact subject
+            "thing 42",  # exact object
+            "the kiln",  # exact subject and object
+            "Ionescu",  # token fallback, subject and object
+            "kiln",  # token fallback
+            "7",  # token fallback on a bare number
+            "Marta Mercer",  # multi-word, no exact hit: the fallback finds nothing
+            "Ionescu Marta",
+            "  AVA ",  # case and whitespace variants
+            "person\t 7",
+            "THE   Kiln",
+            "IONESCU",
+            "nobody",
+            "",  # empty needles
+            "   ",
+        ]
+        needles += rng.sample(subjects, 10) + rng.sample(objects, 10)
+        for needle in needles:
+            assert store.entity_neighborhood(needle) == _naive_neighborhood(mirror, needle), needle
+        ok = True
+    finally:
+        _report("triple store neighborhood parity (10k facts)", ok)
+
+
 # --- 7. parser recovery corpus ----------------------------------------------------------
 
 

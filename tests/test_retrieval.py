@@ -6,16 +6,18 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storymem.backends import Backend
-from storymem.episodic import Fragment, MemoryBank
-from storymem.errors import BackendError, BackendUnavailable
+from storymem.episodic import Fragment, MemoryBank, normalize_label
 from storymem.parsing import RetrievalChoice
 from storymem.prompts import PromptKind
 from storymem.reasoner import Reasoner
 from storymem.retrieval import (
     HashedBagEmbedding,
-    LiveEmbeddingProvider,
+    _plot_block,
+    _sub_block,
     cosine,
     resolve_choices,
     retrieve_coherence,
@@ -65,7 +67,7 @@ def demo_bank() -> MemoryBank:
         iteration=1,
     )
     n1.fragments[1] = Fragment.create("seedlings went in", TS, ("s1t2",))
-    n1.apply_consolidation(0, [("Planting the beds", 0, 1), ("Tending the rows", 2, 3)])
+    bank.consolidate(n1, 0, [("Planting the beds", 0, 1), ("Tending the rows", 2, 3)])
     bank.extend("Ben", "The chess club", ["won the opener"], TS, ("s1t3",), iteration=1)
     return bank
 
@@ -98,11 +100,29 @@ def test_resolve_prefers_plot_over_same_named_subplot():
     bank = MemoryBank()
     shadowed = bank.extend("Ava", "Shared name", ["plot fragment"], TS, ("s1t1",), iteration=1)
     other = bank.extend("Ava", "Other story", ["a", "b"], TS, ("s1t2",), iteration=1)
-    other.apply_consolidation(0, [("Shared name", 0, 1)])
+    bank.consolidate(other, 0, [("Shared name", 0, 1)])
     blocks = resolve_choices(bank, [RetrievalChoice(owner="Ava", topic="Shared name")], k=2)
     assert len(blocks) == 1
     assert blocks[0].kind == "plot"
     assert blocks[0].text.startswith(f"Story (owner: {shadowed.owner}): Shared name")
+
+
+def test_resolve_subplot_goes_to_the_earliest_narrative_in_bank_order():
+    bank = MemoryBank()
+    first = bank.extend("Ava", "First story", ["a", "b"], TS, ("s1t1",), iteration=1)
+    second = bank.extend("Ava", "Second story", ["c", "d"], TS, ("s1t2",), iteration=1)
+    bank.consolidate(second, 0, [("Shared beat", 0, 1)])
+    bank.consolidate(first, 0, [("Shared beat", 0, 0), ("shared  BEAT", 1, 1)])
+    choice = [RetrievalChoice(owner="ava", topic="Shared beat")]
+
+    (block,) = resolve_choices(bank, choice, k=1)
+    assert block.parent_topic == "First story"
+    assert (block.turn_ids, block.fragment_count) == (("s1t1",), 1)
+
+    # a rename moves the first story to the end of the bank
+    assert bank.rename_topic(first, "First story, widened")
+    (block,) = resolve_choices(bank, choice, k=1)
+    assert block.parent_topic == "Second story"
 
 
 def test_resolve_drops_unknown_dedupes_and_truncates():
@@ -297,61 +317,105 @@ def test_similarity_report_is_directional():
     assert sim_same > sim_other
 
 
-# --- live embedding provider ----------------------------------------------------------
+# --- choice resolution parity with a whole-bank scan ------------------------------
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-
-    def json(self):
-        if self._body is None:
-            raise ValueError("no body")
-        return self._body
-
-
-class FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def live_provider(session) -> LiveEmbeddingProvider:
-    provider = LiveEmbeddingProvider(endpoint="https://api.test/embed", model="e1")
-    provider._session = session
-    return provider
-
-
-def test_live_embedding_requires_credentials(monkeypatch):
-    monkeypatch.delenv("STORYMEM_API_KEY", raising=False)
-    with pytest.raises(BackendUnavailable):
-        live_provider(FakeSession([])).embed(["x"])
+def scan_resolve(bank: MemoryBank, choices: list[RetrievalChoice], k: int):
+    """Choice resolution by walking every narrative and subplot: the oracle."""
+    narratives = bank.narratives()
+    blocks = []
+    seen = set()
+    for choice in choices:
+        owner = normalize_label(choice.owner)
+        topic = normalize_label(choice.topic)
+        resolved = None
+        for n in narratives:
+            if n.key == (owner, topic):
+                resolved = _plot_block(n)
+                break
+        if resolved is None:
+            for n in narratives:
+                if normalize_label(n.owner) != owner:
+                    continue
+                for s in n.subplots:
+                    if normalize_label(s.headline) == topic:
+                        resolved = _sub_block(n, s)
+                        break
+                if resolved is not None:
+                    break
+        if resolved is None:
+            continue
+        key = (owner, topic, resolved.kind)
+        if key in seen:
+            continue
+        seen.add(key)
+        blocks.append(resolved)
+        if len(blocks) == k:
+            break
+    return blocks
 
 
-def test_live_embedding_parses_vectors(monkeypatch):
-    monkeypatch.setenv("STORYMEM_API_KEY", "tok")
-    session = FakeSession(
-        [FakeResponse(body={"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]})]
-    )
-    provider = live_provider(session)
-    arr = provider.embed(["a", "b"])
-    assert arr.shape == (2, 2)
-    assert provider.dimension == 2
-    assert session.calls[0]["json"] == {"model": "e1", "input": ["a", "b"]}
+# labels overlap on purpose: case and spacing variants of one owner and one
+# headline, a topic that doubles as a headline, names no narrative takes
+OWNERS = ["Ava", "ava ", "Ben", "Nobody"]
+TOPICS = ["Garden", "garden", "Kiln  day", "Shared"]
+HEADLINES = ["Shared", "shared ", "Planting"]
+
+bank_ops = st.lists(
+    st.one_of(
+        # two new fragments, then subplots over them (out-of-range ends clip,
+        # empty intervals drop)
+        st.tuples(
+            st.just("grow"), st.sampled_from(OWNERS[:3]), st.sampled_from(TOPICS),
+            st.lists(
+                st.tuples(st.sampled_from(HEADLINES), st.integers(0, 1), st.integers(0, 2)),
+                max_size=2,
+            ),
+        ),
+        st.tuples(st.just("rename"), st.integers(0, 20), st.sampled_from(TOPICS + ["Later"])),
+    ),
+    min_size=4,
+    max_size=16,
+)
+choice_lists = st.lists(
+    st.builds(
+        RetrievalChoice,
+        owner=st.sampled_from(OWNERS),
+        # headlines twice as likely, so that subplots get chosen often
+        topic=st.sampled_from(TOPICS + HEADLINES + HEADLINES + ["Nothing"]),
+    ),
+    min_size=1,
+    max_size=8,
+)
 
 
-def test_live_embedding_error_paths(monkeypatch):
-    monkeypatch.setenv("STORYMEM_API_KEY", "tok")
-    with pytest.raises(BackendError):
-        live_provider(FakeSession([FakeResponse(status_code=500, body={}, text="boom")])).embed(["x"])
-    with pytest.raises(BackendError):
-        live_provider(FakeSession([FakeResponse(body={"data": "not a list of rows"})])).embed(["x"])
+def build_bank(ops) -> MemoryBank:
+    bank = MemoryBank()
+    for step, op in enumerate(ops):
+        if op[0] == "grow":
+            _, owner, topic, items = op
+            texts = [f"fragment {step}.{j}" for j in range(2)]
+            narrative = bank.extend(owner, topic, texts, TS, (f"t{step}",), iteration=step)
+            if items:
+                start, _ = narrative.consolidation_window(2)
+                bank.consolidate(narrative, start, items)
+        else:
+            narratives = bank.narratives()
+            if narratives:
+                bank.rename_topic(narratives[op[1] % len(narratives)], op[2])
+    return bank
+
+
+@settings(max_examples=250, deadline=None)
+@given(bank_ops, choice_lists, st.integers(1, 6))
+def test_resolve_choices_matches_bank_scan(ops, choices, k):
+    bank = build_bank(ops)
+    want = scan_resolve(bank, choices, k)
+    assert resolve_choices(bank, choices, k) == want
+
+    # the same bank, read back from its dict and folded from its event log
+    assert resolve_choices(MemoryBank.from_dict(bank.to_dict()), choices, k) == want
+    folded = MemoryBank()
+    for event in bank.drain_events():
+        folded.apply(event)
+    assert resolve_choices(folded, choices, k) == want
