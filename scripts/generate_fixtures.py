@@ -34,7 +34,7 @@ from pathlib import Path
 from storymem.backends import _FACT_HINTS, Backend, RecordingBackend, RuleBackend, ScriptedBackend
 from storymem.engine import EngineConfig, MemoryEngine, run_replay
 from storymem.episodic import MemoryBank
-from storymem.evaluate import run_evaluation
+from storymem.evaluate import DEFAULT_K_SWEEP, run_evaluation
 from storymem.parsing import RetrievalChoice, to_canonical
 from storymem.prompts import PromptKind
 from storymem.reasoner import Reasoner
@@ -420,11 +420,19 @@ def record_replay(config: EngineConfig, transcript, transcript_path: Path, out_d
 
 
 def record_eval(engine: MemoryEngine, transcript) -> dict:
+    """Run the evaluation, then ask and retrieve each question at every k
+    of the sweep outside it: an evaluation asks for one ranking as deep
+    as its sweep, while `storymem query` and direct ask/retrieve calls
+    ask for their own k."""
     report, _ = run_evaluation(
         engine,
         transcript.questions,
         records=[r.to_dict() for r in engine.records()],
     )
+    for q in transcript.questions:
+        engine.ask(q.text)
+        for k in DEFAULT_K_SWEEP:
+            engine.retrieve(q.text, k=k)
     return report
 
 

@@ -16,13 +16,10 @@ from .backends import (
     make_backend,
 )
 from .engine import (
-    Activity,
     AskOutcome,
     EngineConfig,
     IterationRecord,
     MemoryEngine,
-    activity_state,
-    activity_transition,
     run_replay,
 )
 from .episodic import Fragment, MemoryBank, Narrative, Subplot
@@ -70,7 +67,6 @@ from .transcript import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activity",
     "AskOutcome",
     "BackendConfig",
     "BindingDecision",
@@ -103,8 +99,6 @@ __all__ = [
     "TriplePattern",
     "TripleStore",
     "Turn",
-    "activity_state",
-    "activity_transition",
     "compression_rate",
     "constraint_recall",
     "count_tokens",

@@ -119,9 +119,6 @@ class RecordingBackend(Backend):
             self.table.setdefault(kind.value, {})[prompt_digest(rendered)] = raw
         return raw
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.table, indent=2, sort_keys=True) + "\n")
-
     def describe(self) -> dict:
         return {"kind": self.name, "inner": self._inner.describe()}
 

@@ -25,9 +25,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime
-from enum import Enum
 from pathlib import Path
-from typing import Iterable
 
 from . import runio
 from .backends import Backend
@@ -62,29 +60,6 @@ logger = logging.getLogger(__name__)
 
 _TS_PREFIX = re.compile(r"^\[(?P<ts>[^\]]*)\]\s*")
 _POLICY = re.compile(r"^(inactive|none|rapid:(\d+))$")
-
-
-class Activity(Enum):
-    ACTIVE = "active"
-    INACTIVE = "inactive"
-    REACTIVATED = "reactivated"
-
-
-def activity_state(narrative: Narrative, current_iteration: int) -> Activity:
-    if narrative.is_inactive(current_iteration):
-        return Activity.INACTIVE
-    return Activity.ACTIVE
-
-
-def activity_transition(
-    narrative: Narrative, current_iteration: int, receives_binding: bool = False
-) -> Activity:
-    """State of a narrative at this tick; a binding to an inactive one
-    reports the reactivation edge."""
-    state = activity_state(narrative, current_iteration)
-    if state is Activity.INACTIVE and receives_binding:
-        return Activity.REACTIVATED
-    return state
 
 
 @dataclass(frozen=True)
@@ -336,7 +311,12 @@ class MemoryEngine:
         return response, record
 
     def _memory_context(
-        self, question: str, retriever: str, provider, k: int | None = None
+        self,
+        question: str,
+        retriever: str,
+        provider,
+        k: int | None = None,
+        depth: int | None = None,
     ) -> tuple[RetrievalResult, list[Turn]]:
         k = self.config.k if k is None else k
         if retriever == "embedding":
@@ -345,7 +325,7 @@ class MemoryEngine:
             )
         else:
             result = retrieve_coherence(
-                self.bank, self.store, self.reasoner, question, k
+                self.bank, self.store, self.reasoner, question, k, depth=depth
             )
         buffer = self._history[-self.config.B:] if self.config.B > 0 else []
         return result, buffer
@@ -356,16 +336,21 @@ class MemoryEngine:
         k: int | None = None,
         retriever: str = "coherence",
         provider=None,
+        depth: int | None = None,
     ) -> tuple[RetrievalResult, tuple[str, ...]]:
-        """Retrieval probe: memories plus buffer turn ids, no answering."""
+        """Retrieval probe: memories plus buffer turn ids, no answering.
+
+        ``depth`` is the ranking depth asked of coherence retrieval (see
+        retrieve_coherence); it defaults to k.
+        """
         self._set_phase(self._iteration, "eval")
-        result, buffer = self._memory_context(question, retriever, provider, k=k)
+        result, buffer = self._memory_context(question, retriever, provider, k=k, depth=depth)
         return result, tuple(t.turn_id for t in buffer)
 
     def _answer_from_memory(
-        self, question: str, retriever: str, provider
+        self, question: str, retriever: str, provider, depth: int | None = None
     ) -> tuple[str, RetrievalResult, list[Turn]]:
-        result, buffer = self._memory_context(question, retriever, provider)
+        result, buffer = self._memory_context(question, retriever, provider, depth=depth)
         sections = []
         if result.blocks:
             sections.append(result.stories_text())
@@ -379,9 +364,17 @@ class MemoryEngine:
         return answer, result, buffer
 
     def ask(
-        self, question: str, retriever: str = "coherence", provider=None
+        self,
+        question: str,
+        retriever: str = "coherence",
+        provider=None,
+        depth: int | None = None,
     ) -> AskOutcome:
-        """Answer an evaluation question without advancing the conversation."""
+        """Answer an evaluation question without advancing the conversation.
+
+        The answer reads the engine's k stories; ``depth`` is the ranking
+        depth asked of coherence retrieval (see retrieve_coherence).
+        """
         start = time.perf_counter()
         self._set_phase(self._iteration, "eval")
         full_tokens = self._history_tokens
@@ -402,7 +395,7 @@ class MemoryEngine:
                 full_history_tokens=full_tokens,
                 latency=time.perf_counter() - start,
             )
-        answer, result, buffer = self._answer_from_memory(question, retriever, provider)
+        answer, result, buffer = self._answer_from_memory(question, retriever, provider, depth)
         memory_tokens = result.retrieved_token_count
         buffer_tokens = count_tokens(format_history(buffer)) if buffer else 0
         return AskOutcome(
@@ -629,8 +622,3 @@ def run_replay(
             f"replay aborted at iteration {engine.iteration}: {aborted}"
         ) from aborted
     return writer.paths
-
-
-def offline_turn_tokens(transcript: Transcript) -> list[int]:
-    """Per-turn token counts, for cumulative offline-complexity series."""
-    return [count_tokens(format_turn(t)) for t in replay(transcript)]

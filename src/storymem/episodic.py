@@ -24,13 +24,15 @@ import logging
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import CorruptSnapshot
 
 logger = logging.getLogger(__name__)
 
 SNAPSHOT_VERSION = 1
+
+T = TypeVar("T")
 
 
 def normalize_label(text: str) -> str:
@@ -193,6 +195,11 @@ class MemoryBank:
     find_subplot. Like the event log, the index sees only changes made
     through the bank (consolidate, apply, from_dict): a narrative mutated
     directly through its own methods is neither recorded nor indexed.
+
+    derived() keeps a value computed from the bank, such as the coherence
+    outline, until the bank next changes: every recorded change and every
+    applied event drops it. Like the index, it misses changes made
+    directly to a narrative.
     """
 
     def __init__(self) -> None:
@@ -205,6 +212,8 @@ class MemoryBank:
         # ranks sort like the bank's order; a rename moves a narrative last
         self._rank: dict[int, int] = {}
         self._next_rank = 0
+        # name -> value built from the bank as it stands
+        self._derived: dict[str, object] = {}
 
     @property
     def lock(self) -> threading.RLock:
@@ -213,6 +222,22 @@ class MemoryBank:
     def __len__(self) -> int:
         with self._lock:
             return len(self._narratives)
+
+    def derived(self, name: str, build: Callable[[MemoryBank], T]) -> T:
+        """build(bank), reused under this name until the bank changes.
+
+        Built under the bank lock, so it never sees a change half made.
+        A change drops the value at once rather than at the next build:
+        kept stale, a conversation's outline raised peak RSS measurably.
+        """
+        with self._lock:
+            if name not in self._derived:
+                self._derived[name] = build(self)
+            return self._derived[name]
+
+    def _record(self, event: dict) -> None:
+        self._events.append(event)
+        self._derived.clear()
 
     def narratives(self) -> list[Narrative]:
         with self._lock:
@@ -254,9 +279,7 @@ class MemoryBank:
                 narrative = Narrative(owner=" ".join(str(owner).split()),
                                       topic=" ".join(str(topic).split()))
                 self._insert(key, narrative)
-                self._events.append(
-                    {"op": "create", "owner": narrative.owner, "topic": narrative.topic}
-                )
+                self._record({"op": "create", "owner": narrative.owner, "topic": narrative.topic})
             return narrative
 
     def append_fragments(
@@ -264,7 +287,7 @@ class MemoryBank:
     ) -> None:
         with self._lock:
             narrative.append_fragments(fragments, iteration)
-            self._events.append({
+            self._record({
                 "op": "append",
                 "owner": narrative.owner,
                 "topic": narrative.topic,
@@ -304,7 +327,7 @@ class MemoryBank:
         with self._lock:
             created = narrative.apply_consolidation(window_start, items)
             self._index_subplots(narrative, created)
-            self._events.append({
+            self._record({
                 "op": "consolidate",
                 "owner": narrative.owner,
                 "topic": narrative.topic,
@@ -312,10 +335,6 @@ class MemoryBank:
                 "consolidated_through": narrative.consolidated_through,
             })
             return created
-
-    def inactive_narratives(self, current_iteration: int) -> list[Narrative]:
-        with self._lock:
-            return [n for n in self._narratives.values() if n.is_inactive(current_iteration)]
 
     def rename_topic(self, narrative: Narrative, new_topic: str) -> bool:
         """Re-key a narrative under a broader topic (consolidation may widen it).
@@ -337,7 +356,7 @@ class MemoryBank:
             del self._narratives[old_key]
             narrative.topic = " ".join(str(new_topic).split())
             self._insert(new_key, narrative)
-            self._events.append({
+            self._record({
                 "op": "rename",
                 "owner": narrative.owner,
                 "topic": old_topic,
@@ -360,6 +379,7 @@ class MemoryBank:
         """
         try:
             with self._lock:
+                self._derived.clear()
                 op = event["op"]
                 key = (normalize_label(event["owner"]), normalize_label(event["topic"]))
                 if op == "create":

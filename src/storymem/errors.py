@@ -42,20 +42,6 @@ class EmptySamples(StorymemError):
     """Percentiles requested over an empty sample list."""
 
 
-# --- memory-state errors -----------------------------------------------------
-
-class NonEmptyBank(StorymemError):
-    """Initialization applied to a bank that already holds narratives."""
-
-
-class MalformedInitPayload(StorymemError):
-    """Initialization payload missing required story fields."""
-
-
-class MalformedVerdict(StorymemError):
-    """A consolidation verdict is structurally unusable."""
-
-
 # --- backend / parsing errors ------------------------------------------------
 
 class BackendError(StorymemError):

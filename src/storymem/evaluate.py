@@ -6,12 +6,15 @@ evidence coverage swept over k, per-question compression, latency
 percentiles, and constraint recall.
 
 One evaluation retrieves for each question several times: once to
-answer, once per k of the coverage sweep, and once for recall. The
-translate prompt depends only on the question, and the retrieval prompt
-at the engine's k recurs across all three, so the whole evaluation runs
-inside the Reasoner's memoized() scope and sends each distinct prompt
-once. With a deterministic backend the report and traces are the same
-as without the memo.
+answer, once per k of the coverage sweep, and once for recall. Every
+one of them asks for the same ranking, as deep as the largest k in use
+(the sweep's and the engine's), and cuts it to its own k. The translate
+prompt depends only on the question. So each question renders one
+retrieval prompt and one translate prompt, and the whole evaluation runs
+inside the Reasoner's memoized() scope, which sends each distinct prompt
+once. A backend whose top-k list is a prefix of its deeper lists, as the
+rule and scripted backends' are, gives the same report and traces as
+asking at each k.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ def run_evaluation(
     """
     with engine.reasoner.memoized():
         modes = list(modes)
+        # one ranking per question, as deep as any k below asks for
+        depth = max([engine.config.k, *k_sweep])
         report: dict = {"modes": modes, "retriever": retriever, "k": engine.config.k}
         traces: list[dict] = []
 
@@ -65,7 +70,7 @@ def run_evaluation(
         if need_answers:
             for q in questions:
                 try:
-                    outcome = engine.ask(q.text, retriever=retriever)
+                    outcome = engine.ask(q.text, retriever=retriever, depth=depth)
                 except (BackendError, ParseFailure, SchemaMismatch) as exc:
                     logger.warning("question %s failed: %s", q.question_id, exc)
                     continue
@@ -99,7 +104,9 @@ def run_evaluation(
                 for k in k_sweep:
                     retrieved = {}
                     for q in questions:
-                        result, buffer_ids = engine.retrieve(q.text, k=k, retriever=retriever)
+                        result, buffer_ids = engine.retrieve(
+                            q.text, k=k, retriever=retriever, depth=depth
+                        )
                         retrieved[q.question_id] = result.retrieved_turn_ids | set(buffer_ids)
                     sweep[str(k)] = coverage_rate(questions, retrieved)
                 report["coverage"] = sweep
@@ -142,7 +149,9 @@ def run_evaluation(
                     instructions = list(constraints)
                 retrieved = {}
                 for inst in instructions:
-                    result, buffer_ids = engine.retrieve(inst["text"], retriever=retriever)
+                    result, buffer_ids = engine.retrieve(
+                        inst["text"], retriever=retriever, depth=depth
+                    )
                     retrieved[inst["id"]] = result.retrieved_turn_ids | set(buffer_ids)
                 report["recall"] = constraint_recall(
                     [(inst["id"], inst["constraint_turn_ids"]) for inst in instructions],

@@ -60,8 +60,13 @@ def coherence_headlines(bank: MemoryBank) -> str:
     """Plot headlines plus subplot headlines, in bank order.
 
     A subplot line carries its own headline as the topic; the suffix is
-    informational and not part of the choice key.
+    informational and not part of the choice key. The outline is built
+    once for each state of the bank (MemoryBank.derived).
     """
+    return bank.derived("coherence_headlines", _build_coherence_headlines)
+
+
+def _build_coherence_headlines(bank: MemoryBank) -> str:
     lines: list[str] = []
     for n in bank.narratives():
         lines.append(f"- owner: {n.owner} | topic: {n.topic}")

@@ -155,22 +155,6 @@ def j_score(
     }
 
 
-def offline_series(
-    records: Sequence[Mapping], turn_tokens: Sequence[int]
-) -> list[tuple[int, float]]:
-    """(cumulative tokens, cumulative offline seconds) per iteration."""
-    series = []
-    cum_tokens = 0
-    cum_time = 0.0
-    for rec in records:
-        i = int(rec["iteration"])
-        if 1 <= i <= len(turn_tokens):
-            cum_tokens += turn_tokens[i - 1]
-        cum_time += float(rec.get("offline_latency", 0.0))
-        series.append((cum_tokens, cum_time))
-    return series
-
-
 # --- timeline export -------------------------------------------------------------
 
 

@@ -211,10 +211,21 @@ def retrieve_coherence(
     reasoner: Reasoner,
     question: str,
     k: int,
+    depth: int | None = None,
 ) -> RetrievalResult:
+    """The top k stories the reasoner ranks for the question, plus facts.
+
+    The prompt asks for the top ``depth`` stories (``k`` when not given,
+    never fewer than ``k``) and the ranking is cut to its first k
+    resolved blocks. A caller that retrieves one question at several k
+    passes their largest as the depth, so every k renders the same
+    prompt and a memoized reasoner sends it once; each k then reads a
+    prefix of one ranking. The result and its trace keep k.
+    """
     result = RetrievalResult(query=question, retriever="coherence", k=k)
     if len(bank) > 0:
-        choices = reasoner.choose_stories(k, question, coherence_headlines(bank))
+        depth = k if depth is None else max(depth, k)
+        choices = reasoner.choose_stories(depth, question, coherence_headlines(bank))
         result.blocks = resolve_choices(bank, choices, k)
     result.facts = retrieve_semantic(store, reasoner, question, k)
     return result
@@ -252,9 +263,6 @@ class HashedBagEmbedding:
             vec = vec / norm
         self._cache[text] = vec
         return vec
-
-    def embed(self, texts: list[str]) -> np.ndarray:
-        return np.stack([self.embed_one(t) for t in texts]) if texts else np.zeros((0, self.dimension))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

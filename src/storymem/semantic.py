@@ -18,7 +18,6 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .errors import MalformedInput
 
@@ -86,9 +85,6 @@ class TripleStore:
         for token in set(key[0].split()) | set(key[2].split()):
             self._by_token.setdefault(token, []).append(pos)
         return True
-
-    def add_all(self, facts: Iterable[TripleFact]) -> int:
-        return sum(1 for f in facts if self.add(f))
 
     def query(
         self,

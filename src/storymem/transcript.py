@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import EmptyTranscript, MalformedInput
 
@@ -404,33 +404,11 @@ def transcript_to_json(transcript: Transcript) -> str:
 
 # --- token counting --------------------------------------------------------------
 
-TokenCounter = Callable[[str], int]
+def count_tokens(text: str) -> int:
+    """Whitespace-separated tokens.
 
-
-def whitespace_tokens(text: str) -> int:
-    return len(text.split())
-
-
-def character_tokens(text: str) -> int:
-    return len(text)
-
-
-_COUNTERS: dict[str, TokenCounter] = {
-    "whitespace": whitespace_tokens,
-    "character": character_tokens,
-}
-
-
-def count_tokens(text: str, counter: str | TokenCounter = "whitespace") -> int:
-    """Count tokens with a named or user-supplied counter.
-
-    The whitespace counter is additive over concatenation whenever the
-    junction point already separates tokens (``a`` ends or ``b`` starts
-    with whitespace, or a separator is inserted).
+    Additive over concatenation whenever the junction point already
+    separates tokens (``a`` ends or ``b`` starts with whitespace, or a
+    separator is inserted).
     """
-    if callable(counter):
-        return counter(text)
-    try:
-        return _COUNTERS[counter](text)
-    except KeyError:
-        raise ValueError(f"unknown token counter {counter!r}") from None
+    return len(text.split())

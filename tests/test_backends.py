@@ -80,7 +80,7 @@ def test_recording_then_scripted_replay(tmp_path):
     assert recorder.table["story_init"][prompt_digest(rendered)] == first
 
     path = tmp_path / "recorded.json"
-    recorder.save(path)
+    path.write_text(json.dumps(recorder.table))
     replayed = ScriptedBackend.from_path(path)
     assert replayed.complete(PromptKind.STORY_INIT, rendered) == first
     assert recorder.describe()["inner"] == {"kind": "rule", "block_size": 2}

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from storymem import cli
+from storymem.backends import make_backend
 from storymem.cli import main
+from storymem.prompts import PromptKind
 from storymem.transcript import load_transcript
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -150,6 +153,29 @@ def test_query_answers_from_run_dir(cli_run_dir, capsys):
     assert "path: memory" in out
     assert "  story: " in out
     assert "compression: 9" in out  # 9x.x%
+
+
+def test_query_asks_for_its_own_k(cli_run_dir, capsys, monkeypatch):
+    sent = []
+
+    def capturing(config):
+        backend = make_backend(config)
+        complete = backend.complete
+
+        def record(kind, rendered):
+            sent.append((kind, rendered))
+            return complete(kind, rendered)
+
+        backend.complete = record
+        return backend
+
+    monkeypatch.setattr(cli, "make_backend", capturing)
+    rc = main(["query", str(cli_run_dir), "--question", QUESTION, "--k", "3",
+               "--backend", "rule"])
+    assert rc == 0
+    assert capsys.readouterr().out.count("  story: ") == 3
+    (ranking,) = [r for kind, r in sent if kind is PromptKind.COHERENCE_RETRIEVE]
+    assert "select the top 3 stories" in ranking
 
 
 def test_query_embedding_retriever(cli_run_dir, capsys):

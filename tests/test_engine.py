@@ -10,16 +10,8 @@ from datetime import datetime, timedelta
 import pytest
 
 from storymem.backends import Backend, RuleBackend, ScriptedBackend
-from storymem.engine import (
-    Activity,
-    EngineConfig,
-    MemoryEngine,
-    activity_state,
-    activity_transition,
-    offline_turn_tokens,
-    run_replay,
-)
-from storymem.episodic import MemoryBank, Narrative
+from storymem.engine import EngineConfig, MemoryEngine, run_replay
+from storymem.episodic import MemoryBank
 from storymem.errors import MalformedInput, ReplayAborted
 from storymem.prompts import PromptKind
 from storymem.semantic import TripleStore
@@ -75,15 +67,6 @@ def test_config_helpers():
     config = EngineConfig(T=8, k=3, N=5, B=2, consolidation_policy="rapid:2")
     assert EngineConfig.from_dict(config.to_dict()) == config
     assert EngineConfig.from_dict({"T": 5, "stray": 1}).T == 5
-
-
-def test_activity_rules():
-    n = Narrative(owner="Ava", topic="T", last_bound_iteration=10)
-    assert activity_state(n, 11) is Activity.ACTIVE
-    assert activity_state(n, 12) is Activity.INACTIVE
-    assert activity_transition(n, 11, receives_binding=True) is Activity.ACTIVE
-    assert activity_transition(n, 12, receives_binding=False) is Activity.INACTIVE
-    assert activity_transition(n, 12, receives_binding=True) is Activity.REACTIVATED
 
 
 # --- scripted replay of the bundled conversation -------------------------------------
@@ -408,9 +391,3 @@ def test_unparseable_offline_reply_degrades_without_aborting(tmp_path):
     assert errors and all("consolidation:" in e for e in errors)
     # later consolidation passes still went through
     assert sum(r.consolidations for r in records) > 0
-
-
-def test_offline_turn_tokens(transcript):
-    tokens = offline_turn_tokens(transcript)
-    assert len(tokens) == 60
-    assert all(t > 0 for t in tokens)

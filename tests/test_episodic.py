@@ -78,14 +78,6 @@ def test_is_inactive_boundary():
     assert n.is_inactive(13)
 
 
-def test_inactive_narratives_listing():
-    bank = MemoryBank()
-    fresh = bank.extend("Ava", "Fresh", ["x"], TS, (), iteration=11)
-    stale = bank.extend("Ava", "Stale", ["y"], TS, (), iteration=9)
-    assert bank.inactive_narratives(12) == [stale]
-    assert fresh.is_inactive(12) is False
-
-
 def test_consolidation_window_caps_to_recent():
     n = make_narrative(12)
     start, window = n.consolidation_window(10)

@@ -220,7 +220,7 @@ def test_evaluation_sends_no_prompt_twice(b0_run, transcript, script_table):
     backend = Capturing(ScriptedBackend(script_table))
     engine = restore_engine(paths, transcript, backend)
     try:
-        run_evaluation(engine, transcript.questions)
+        _, traces = run_evaluation(engine, transcript.questions)
     finally:
         engine.close()
     repeats = [pair for pair, n in Counter(backend.sent).items() if n > 1]
@@ -228,8 +228,34 @@ def test_evaluation_sends_no_prompt_twice(b0_run, transcript, script_table):
     # the question alone shapes the translate prompt: one per question
     kinds = Counter(kind for kind, _ in backend.sent)
     assert kinds[PromptKind.GRAPH_QUERY_TRANSLATE] == len(transcript.questions)
+    # one ranking per memory-path question serves the answer, every k of
+    # the sweep and recall: it asks as deep as the deepest k
+    assert len(traces) == len(transcript.questions)
+    rankings = [r for kind, r in backend.sent if kind is PromptKind.COHERENCE_RETRIEVE]
+    assert len(rankings) == len(traces)
+    assert all(f"select the top {max(DEFAULT_K_SWEEP)} stories" in r for r in rankings)
     # exchanges log only what reached the backend
     assert len(engine.exchanges()) == len(backend.sent)
+
+
+def test_ask_and_retrieve_outside_an_evaluation_ask_for_their_own_k(
+    b0_run, transcript, script_table
+):
+    _, paths = b0_run
+    backend = Capturing(ScriptedBackend(script_table))
+    engine = restore_engine(paths, transcript, backend)
+    question = transcript.questions[0].text
+    try:
+        engine.ask(question)
+        for k in DEFAULT_K_SWEEP:
+            engine.retrieve(question, k=k)
+    finally:
+        engine.close()
+    rankings = [r for kind, r in backend.sent if kind is PromptKind.COHERENCE_RETRIEVE]
+    asked = [engine.config.k, *DEFAULT_K_SWEEP]
+    assert len(rankings) == len(asked)
+    for k, rendered in zip(asked, rankings):
+        assert f"select the top {k} stories" in rendered
 
 
 def test_evaluation_matches_unmemoized_retrievals(evaluated, b0_run, transcript, script_table):

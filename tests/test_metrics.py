@@ -20,7 +20,6 @@ from storymem.metrics import (
     export_timeline,
     j_score,
     latency_percentiles,
-    offline_series,
     percentile,
     render_report_table,
     write_report,
@@ -205,19 +204,6 @@ def test_j_score_judge_parse_failures_become_unjudgeable():
     excluded = j_score(questions, answers, Reasoner(GarbledJudge()), exclude_unjudgeable=True)
     assert excluded["overall"] == 0.0
     assert excluded["per_category"]["single_hop"] is None
-
-
-# --- offline complexity series ----------------------------------------------------------
-
-
-def test_offline_series_accumulates():
-    records = [
-        {"iteration": 1, "offline_latency": 0.5},
-        {"iteration": 2, "offline_latency": 0.25},
-        {"iteration": 5, "offline_latency": 0.25},  # beyond the token list
-    ]
-    series = offline_series(records, [10, 20, 30])
-    assert series == [(10, 0.5), (30, 0.75), (30, 1.0)]
 
 
 # --- timeline export ---------------------------------------------------------------------

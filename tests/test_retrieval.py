@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from storymem.backends import Backend
 from storymem.episodic import Fragment, MemoryBank, normalize_label
+from storymem.formatting import _build_coherence_headlines, coherence_headlines
 from storymem.parsing import RetrievalChoice
 from storymem.prompts import PromptKind
 from storymem.reasoner import Reasoner
@@ -219,6 +220,33 @@ def test_coherence_empty_bank_skips_choice_prompt():
     assert backend.calls == [PromptKind.GRAPH_QUERY_TRANSLATE]
 
 
+def test_coherence_asks_for_the_depth_and_keeps_k():
+    prompts = []
+
+    class Recording(CannedBackend):
+        def complete(self, kind, rendered):
+            prompts.append(rendered)
+            return super().complete(kind, rendered)
+
+    backend = Recording(
+        {
+            PromptKind.COHERENCE_RETRIEVE: (
+                "[{'owner': 'Ava', 'topic': 'The garden project'},"
+                " {'owner': 'Ben', 'topic': 'The chess club'}]"
+            ),
+            PromptKind.GRAPH_QUERY_TRANSLATE: "[]",
+        }
+    )
+    reasoner = Reasoner(backend)
+    result = retrieve_coherence(demo_bank(), TripleStore(), reasoner, "garden?", k=1, depth=6)
+    assert "select the top 6 stories" in prompts[0]
+    assert [b.topic for b in result.blocks] == ["The garden project"]
+    assert result.k == 1 and result.trace()["k"] == 1
+    # a depth below k still asks for k
+    retrieve_coherence(demo_bank(), TripleStore(), reasoner, "garden?", k=2, depth=1)
+    assert "select the top 2 stories" in prompts[1]
+
+
 def test_coherence_resolves_choices_and_facts():
     backend = CannedBackend(
         {
@@ -250,9 +278,6 @@ def test_hashed_embedding_is_unit_norm_and_pure():
     again = HashedBagEmbedding(dimension=64).embed_one("the kiln schedule changed to Thursdays")
     assert np.array_equal(vec, again)
     assert np.array_equal(provider.embed_one(""), np.zeros(64))
-    stacked = provider.embed(["a b", "c"])
-    assert stacked.shape == (2, 64)
-    assert provider.embed([]).shape == (0, 64)
 
 
 def test_cosine_properties():
@@ -419,3 +444,44 @@ def test_resolve_choices_matches_bank_scan(ops, choices, k):
     for event in bank.drain_events():
         folded.apply(event)
     assert resolve_choices(folded, choices, k) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(bank_ops, choice_lists, st.integers(1, 6), st.integers(0, 6))
+def test_resolving_at_a_depth_then_cutting_equals_resolving_at_k(ops, choices, k, extra):
+    """Why one ranking serves every k: the first k blocks resolved from a
+    deeper list are the blocks the list resolves to at k, unresolved and
+    duplicate choices included."""
+    bank = build_bank(ops)
+    assert resolve_choices(bank, choices, k) == resolve_choices(bank, choices, k + extra)[:k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bank_ops)
+def test_cached_outline_follows_every_bank_change(ops):
+    def check(bank: MemoryBank) -> None:
+        assert coherence_headlines(bank) == _build_coherence_headlines(bank)
+
+    live = MemoryBank()
+    folded = MemoryBank()
+    check(live)
+    for step, op in enumerate(ops):
+        if op[0] == "grow":
+            _, owner, topic, items = op
+            narrative = live.get_or_create(owner, topic)
+            check(live)
+            live.append_fragments(narrative, [Fragment.create(f"f{step}", TS, (f"t{step}",))], step)
+            check(live)
+            if items:
+                live.consolidate(narrative, 0, items)
+        else:
+            narratives = live.narratives()
+            if narratives:
+                live.rename_topic(narratives[op[1] % len(narratives)], op[2])
+        check(live)
+        for event in live.drain_events():
+            folded.apply(event)
+            check(folded)
+    restored = MemoryBank.from_dict(live.to_dict())
+    check(restored)
+    assert coherence_headlines(restored) == coherence_headlines(live) == coherence_headlines(folded)

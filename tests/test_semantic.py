@@ -32,7 +32,6 @@ def test_add_deduplicates_on_normalized_identity():
     # a different timestamp is a different fact
     assert store.add(TripleFact("marta ionescu", "is", "a coach", timestamp="t1")) is True
     assert len(store) == 2
-    assert store.add_all([TripleFact("x", "y", "z"), TripleFact("x", "y", "z")]) == 1
 
 
 def test_query_exact_and_wildcards():

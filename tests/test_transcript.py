@@ -10,7 +10,6 @@ import pytest
 from storymem.errors import EmptyTranscript, MalformedInput
 from storymem.transcript import (
     CATEGORIES,
-    character_tokens,
     count_tokens,
     ingest_locomo,
     ingest_native,
@@ -21,7 +20,6 @@ from storymem.transcript import (
     transcript_to_dict,
     transcript_to_json,
     turn_id_for,
-    whitespace_tokens,
 )
 
 
@@ -269,13 +267,8 @@ def test_normalize_category():
 
 
 def test_count_tokens():
-    assert whitespace_tokens("a b  c") == 3
-    assert character_tokens("abc") == 3
+    assert count_tokens("a b  c") == 3
     assert count_tokens("one two three") == 3
-    assert count_tokens("abc", counter="character") == 3
-    assert count_tokens("abc", counter=lambda s: 42) == 42
-    with pytest.raises(ValueError):
-        count_tokens("abc", counter="bogus")
     # additivity across a separating junction, used by the compression metric
     a, b = "alpha beta", "gamma delta"
     assert count_tokens(a + "\n" + b) == count_tokens(a) + count_tokens(b)
