@@ -8,7 +8,8 @@ Produces:
                           clean narratives and answers every question
   script_table.json     - completion table covering every prompt issued
                           by the bundled replays (B=0, B=4, rapid:3 and
-                          none policies) and the evaluation sweeps
+                          none policies) and their evaluations with the
+                          coherence and the embedding retriever
   contrast_bank.json    - handcrafted narrative bank where coherence
                           choices and headline-embedding similarity
                           disagree on the best story
@@ -420,15 +421,13 @@ def record_replay(config: EngineConfig, transcript, transcript_path: Path, out_d
 
 
 def record_eval(engine: MemoryEngine, transcript) -> dict:
-    """Run the evaluation, then ask and retrieve each question at every k
-    of the sweep outside it: an evaluation asks for one ranking as deep
-    as its sweep, while `storymem query` and direct ask/retrieve calls
-    ask for their own k."""
-    report, _ = run_evaluation(
-        engine,
-        transcript.questions,
-        records=[r.to_dict() for r in engine.records()],
-    )
+    """Run the evaluation with each retriever, then ask and retrieve each
+    question at every k of the sweep outside it: an evaluation asks for
+    one ranking as deep as its sweep, while `storymem query` and direct
+    ask/retrieve calls ask for their own k. Returns the coherence report."""
+    records = [r.to_dict() for r in engine.records()]
+    report, _ = run_evaluation(engine, transcript.questions, records=records)
+    run_evaluation(engine, transcript.questions, retriever="embedding", records=records)
     for q in transcript.questions:
         engine.ask(q.text)
         for k in DEFAULT_K_SWEEP:

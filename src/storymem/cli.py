@@ -186,7 +186,7 @@ def cmd_run(args) -> int:
 
 def cmd_query(args) -> int:
     engine, _, _ = _restore_engine(args, args.run_dir)
-    if args.k:
+    if args.k is not None:
         engine.config = EngineConfig.from_dict({**engine.config.to_dict(), "k": args.k})
     outcome = engine.ask(args.question, retriever=args.retriever)
     print(f"answer: {outcome.answer}")

@@ -5,16 +5,19 @@ timestamped plot fragments. Consolidation groups a recent window of plot
 fragments into headlined subplots; the fragments themselves never move
 or mutate, subplots reference them by position.
 
-The bank is the single mutable store. All mutation happens under one
-lock so an offline worker thread and serialization can safely
-interleave. Every change made through the bank is also recorded as a
-bank-log event: drain_events() hands over the changes since the last
-drain, and apply() replays them, so folding a run's bank log over an
-empty bank rebuilds the bank as it stood after any iteration.
+The bank is the single mutable store, and it has one write path: every
+change is an event, and MemoryBank._apply is the only code that carries
+one out. The bank's methods check their input, then apply and record
+their event; drain_events() hands over the events since the last drain,
+apply() replays one without recording it again, and from_dict() folds a
+snapshot through the same path. So folding a run's bank log over an
+empty bank rebuilds the bank as it stood after any iteration. All of it
+happens under one lock, so an offline worker thread and serialization
+can safely interleave.
 
 Reads go by key: a narrative by its normalized (owner, topic), a subplot
-by its normalized (owner, headline) through an index the bank keeps as it
-changes, so answering never walks the whole bank.
+by its normalized (owner, headline) through an index that _apply keeps,
+so answering never walks the whole bank.
 """
 
 from __future__ import annotations
@@ -35,9 +38,14 @@ SNAPSHOT_VERSION = 1
 T = TypeVar("T")
 
 
+def _display_label(text: str) -> str:
+    """Whitespace-collapse only: how a narrative shows its owner and topic."""
+    return " ".join(str(text).split())
+
+
 def normalize_label(text: str) -> str:
     """Whitespace-collapse and casefold, for owner/topic matching."""
-    return " ".join(str(text).split()).casefold()
+    return _display_label(text).casefold()
 
 
 def fragment_id_for(text: str, timestamp: datetime) -> str:
@@ -80,17 +88,9 @@ class Narrative:
     last_bound_iteration: int = 0
     consolidated_through: int = 0
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (normalize_label(self.owner), normalize_label(self.topic))
-
     def is_inactive(self, current_iteration: int) -> bool:
         """A narrative is inactive once a full tick has passed without binding."""
         return self.last_bound_iteration < current_iteration - 1
-
-    def append_fragments(self, fragments: Iterable[Fragment], iteration: int) -> None:
-        self.fragments.extend(fragments)
-        self.last_bound_iteration = max(self.last_bound_iteration, iteration)
 
     def unconsolidated_count(self) -> int:
         return len(self.fragments) - self.consolidated_through
@@ -104,46 +104,39 @@ class Narrative:
         start = max(self.consolidated_through, len(self.fragments) - max_fragments)
         return start, self.fragments[start:]
 
-    def apply_consolidation(
-        self, window_start: int, items: list[tuple[str, int, int]]
-    ) -> list[Subplot]:
-        """Create subplots from (headline, start, end) window-relative intervals.
-
-        Intervals are inclusive and 0-based within the window. Out-of-range
-        ends are clipped; empty or fully invalid intervals are dropped with
-        a warning. The window counts as consolidated regardless of coverage.
-        """
-        window_end = len(self.fragments)
-        created: list[Subplot] = []
-        for headline, lo, hi in items:
-            a = window_start + lo
-            b = window_start + hi
-            if b >= window_end:
-                logger.warning(
-                    "narrative (%s, %s): clipping subplot interval [%d, %d]",
-                    self.owner, self.topic, lo, hi,
-                )
-                b = window_end - 1
-            if a < window_start:
-                logger.warning(
-                    "narrative (%s, %s): clipping subplot interval [%d, %d]",
-                    self.owner, self.topic, lo, hi,
-                )
-                a = window_start
-            if a > b or not str(headline).strip():
-                logger.warning(
-                    "narrative (%s, %s): dropping invalid subplot interval [%d, %d]",
-                    self.owner, self.topic, lo, hi,
-                )
-                continue
-            sub = Subplot(headline=str(headline).strip(), fragment_indices=tuple(range(a, b + 1)))
-            self.subplots.append(sub)
-            created.append(sub)
-        self.consolidated_through = window_end
-        return created
-
     def subplot_fragments(self, subplot: Subplot) -> list[Fragment]:
         return [self.fragments[i] for i in subplot.fragment_indices if i < len(self.fragments)]
+
+
+def _clip_subplots(
+    narrative: Narrative, window_start: int, items: list[tuple[str, int, int]]
+) -> list[dict]:
+    """Subplot dicts from (headline, start, end) window-relative intervals.
+
+    The window runs from window_start to the narrative's last fragment.
+    Intervals are inclusive and 0-based within it. Out-of-range ends are
+    clipped; empty or fully invalid intervals are dropped with a warning.
+    """
+    window_end = len(narrative.fragments)
+    subplots: list[dict] = []
+    for headline, lo, hi in items:
+        a = max(window_start + lo, window_start)
+        b = min(window_start + hi, window_end - 1)
+        if (a, b) != (window_start + lo, window_start + hi):
+            logger.warning(
+                "narrative (%s, %s): clipping subplot interval [%d, %d]",
+                narrative.owner, narrative.topic, lo, hi,
+            )
+        if a > b or not str(headline).strip():
+            logger.warning(
+                "narrative (%s, %s): dropping invalid subplot interval [%d, %d]",
+                narrative.owner, narrative.topic, lo, hi,
+            )
+            continue
+        subplots.append(
+            {"headline": str(headline).strip(), "fragment_indices": list(range(a, b + 1))}
+        )
+    return subplots
 
 
 # --- serialization, shared by bank dicts and bank-log events ----------------------
@@ -181,8 +174,7 @@ def _subplot_from_dict(sd: dict) -> Subplot:
 class MemoryBank:
     """All narratives for one conversation, keyed by normalized (owner, topic).
 
-    Changes made through the bank's own methods are recorded as events
-    (plain dicts, ready for JSON) until drain_events() takes them:
+    Every change is one of four events (plain dicts, ready for JSON):
 
         {"op": "create", "owner", "topic"}
         {"op": "append", "owner", "topic", "fragments", "last_bound_iteration"}
@@ -191,15 +183,17 @@ class MemoryBank:
 
     owner and topic name the narrative as it stood just before the event.
 
-    Subplots are also indexed by normalized (owner, headline), for
-    find_subplot. Like the event log, the index sees only changes made
-    through the bank (consolidate, apply, from_dict): a narrative mutated
-    directly through its own methods is neither recorded nor indexed.
+    _apply() carries out an event, and nothing else changes the bank.
+    get_or_create, append_fragments, consolidate and rename_topic check
+    their input, then apply their event and record it until
+    drain_events() takes it. apply() replays an event without recording
+    it, and from_dict() folds a snapshot as create, append and
+    consolidate events.
 
-    derived() keeps a value computed from the bank, such as the coherence
-    outline, until the bank next changes: every recorded change and every
-    applied event drops it. Like the index, it misses changes made
-    directly to a narrative.
+    Since every change passes through _apply, what the bank keeps beside
+    its narratives stays in step with them: the index of subplots by
+    normalized (owner, headline), for find_subplot, and the values of
+    derived(), such as the coherence outline, which each change drops.
     """
 
     def __init__(self) -> None:
@@ -235,10 +229,6 @@ class MemoryBank:
                 self._derived[name] = build(self)
             return self._derived[name]
 
-    def _record(self, event: dict) -> None:
-        self._events.append(event)
-        self._derived.clear()
-
     def narratives(self) -> list[Narrative]:
         with self._lock:
             return list(self._narratives.values())
@@ -259,40 +249,35 @@ class MemoryBank:
                 return None
             return min(pairs, key=lambda pair: self._rank[id(pair[0])])
 
-    def _insert(self, key: tuple[str, str], narrative: Narrative) -> None:
-        self._narratives[key] = narrative
-        self._rank[id(narrative)] = self._next_rank
-        self._next_rank += 1
+    # --- changes ---------------------------------------------------------------
 
-    def _index_subplots(self, narrative: Narrative, subplots: Iterable[Subplot]) -> None:
-        owner = normalize_label(narrative.owner)
-        for s in subplots:
-            self._subplots.setdefault((owner, normalize_label(s.headline)), []).append(
-                (narrative, s)
-            )
+    def _record(self, event: dict) -> Narrative:
+        narrative = self._apply(event)
+        self._events.append(event)
+        return narrative
 
     def get_or_create(self, owner: str, topic: str) -> Narrative:
         with self._lock:
-            key = (normalize_label(owner), normalize_label(topic))
-            narrative = self._narratives.get(key)
+            narrative = self.find(owner, topic)
             if narrative is None:
-                narrative = Narrative(owner=" ".join(str(owner).split()),
-                                      topic=" ".join(str(topic).split()))
-                self._insert(key, narrative)
-                self._record({"op": "create", "owner": narrative.owner, "topic": narrative.topic})
+                narrative = self._record({
+                    "op": "create",
+                    "owner": _display_label(owner),
+                    "topic": _display_label(topic),
+                })
             return narrative
 
     def append_fragments(
         self, narrative: Narrative, fragments: list[Fragment], iteration: int
     ) -> None:
+        """Append in order; an older iteration never rolls the binding clock back."""
         with self._lock:
-            narrative.append_fragments(fragments, iteration)
             self._record({
                 "op": "append",
                 "owner": narrative.owner,
                 "topic": narrative.topic,
                 "fragments": [_fragment_to_dict(f) for f in fragments],
-                "last_bound_iteration": narrative.last_bound_iteration,
+                "last_bound_iteration": max(narrative.last_bound_iteration, iteration),
             })
 
     def extend(
@@ -323,28 +308,32 @@ class MemoryBank:
     def consolidate(
         self, narrative: Narrative, window_start: int, items: list[tuple[str, int, int]]
     ) -> list[Subplot]:
-        """Narrative.apply_consolidation, recorded as one event and indexed."""
+        """Add subplots from (headline, start, end) intervals, relative to the
+        window that starts at window_start; return the subplots added.
+
+        The window counts as consolidated whatever the items cover.
+        """
         with self._lock:
-            created = narrative.apply_consolidation(window_start, items)
-            self._index_subplots(narrative, created)
+            subplots = _clip_subplots(narrative, window_start, items)
             self._record({
                 "op": "consolidate",
                 "owner": narrative.owner,
                 "topic": narrative.topic,
-                "subplots": [_subplot_to_dict(s) for s in created],
-                "consolidated_through": narrative.consolidated_through,
+                "subplots": subplots,
+                "consolidated_through": len(narrative.fragments),
             })
-            return created
+            return narrative.subplots[len(narrative.subplots) - len(subplots):]
 
     def rename_topic(self, narrative: Narrative, new_topic: str) -> bool:
         """Re-key a narrative under a broader topic (consolidation may widen it).
 
-        Refuses a rename that would collide with another narrative.
+        Refuses a rename that changes nothing or that would collide with
+        another narrative.
         """
         with self._lock:
-            new_key = (normalize_label(narrative.owner), normalize_label(new_topic))
-            old_key = narrative.key
-            if new_key == old_key:
+            owner = normalize_label(narrative.owner)
+            new_key = (owner, normalize_label(new_topic))
+            if new_key == (owner, normalize_label(narrative.topic)):
                 return False
             if new_key in self._narratives:
                 logger.warning(
@@ -352,17 +341,56 @@ class MemoryBank:
                     narrative.topic, new_topic,
                 )
                 return False
-            old_topic = narrative.topic
-            del self._narratives[old_key]
-            narrative.topic = " ".join(str(new_topic).split())
-            self._insert(new_key, narrative)
             self._record({
                 "op": "rename",
                 "owner": narrative.owner,
-                "topic": old_topic,
-                "new_topic": narrative.topic,
+                "topic": narrative.topic,
+                "new_topic": _display_label(new_topic),
             })
             return True
+
+    def _apply(self, event: dict) -> Narrative:
+        """Carry out one event; return the narrative it touched."""
+        try:
+            with self._lock:
+                self._derived.clear()
+                op = event["op"]
+                key = (normalize_label(event["owner"]), normalize_label(event["topic"]))
+                if op == "create":
+                    if key in self._narratives:
+                        raise CorruptSnapshot(f"bank creates {key} twice")
+                    narrative = Narrative(owner=event["owner"], topic=event["topic"])
+                    insert_at = key
+                else:
+                    narrative = self._narratives[key]
+                    insert_at = None
+                    if op == "append":
+                        fragments = [_fragment_from_dict(fd) for fd in event["fragments"]]
+                        narrative.fragments.extend(fragments)
+                        narrative.last_bound_iteration = int(event["last_bound_iteration"])
+                    elif op == "consolidate":
+                        created = [_subplot_from_dict(sd) for sd in event["subplots"]]
+                        narrative.subplots.extend(created)
+                        for s in created:
+                            self._subplots.setdefault(
+                                (key[0], normalize_label(s.headline)), []
+                            ).append((narrative, s))
+                        narrative.consolidated_through = int(event["consolidated_through"])
+                    elif op == "rename":
+                        insert_at = (key[0], normalize_label(event["new_topic"]))
+                        if insert_at in self._narratives:
+                            raise CorruptSnapshot(f"bank renames {key} onto {insert_at}")
+                        del self._narratives[key]
+                        narrative.topic = event["new_topic"]
+                    else:
+                        raise CorruptSnapshot(f"unknown bank-log event {op!r}")
+                if insert_at is not None:
+                    self._narratives[insert_at] = narrative
+                    self._rank[id(narrative)] = self._next_rank
+                    self._next_rank += 1
+                return narrative
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptSnapshot(f"malformed bank-log event: {exc!r}") from exc
 
     # --- bank log --------------------------------------------------------------
 
@@ -373,44 +401,9 @@ class MemoryBank:
             return events
 
     def apply(self, event: dict) -> Narrative:
-        """Replay one recorded change; return the narrative it touched.
-
-        Replayed changes are not recorded again.
-        """
-        try:
-            with self._lock:
-                self._derived.clear()
-                op = event["op"]
-                key = (normalize_label(event["owner"]), normalize_label(event["topic"]))
-                if op == "create":
-                    if key in self._narratives:
-                        raise CorruptSnapshot(f"bank log creates {key} twice")
-                    narrative = Narrative(owner=event["owner"], topic=event["topic"])
-                    self._insert(key, narrative)
-                    return narrative
-                narrative = self._narratives[key]
-                if op == "append":
-                    narrative.fragments.extend(
-                        _fragment_from_dict(fd) for fd in event["fragments"]
-                    )
-                    narrative.last_bound_iteration = int(event["last_bound_iteration"])
-                elif op == "consolidate":
-                    created = [_subplot_from_dict(sd) for sd in event["subplots"]]
-                    narrative.subplots.extend(created)
-                    self._index_subplots(narrative, created)
-                    narrative.consolidated_through = int(event["consolidated_through"])
-                elif op == "rename":
-                    new_key = (key[0], normalize_label(event["new_topic"]))
-                    if new_key in self._narratives:
-                        raise CorruptSnapshot(f"bank log renames {key} onto {new_key}")
-                    del self._narratives[key]
-                    narrative.topic = event["new_topic"]
-                    self._insert(new_key, narrative)
-                else:
-                    raise CorruptSnapshot(f"unknown bank-log event {op!r}")
-                return narrative
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptSnapshot(f"malformed bank-log event: {exc!r}") from exc
+        """Replay one recorded change, without recording it again; return
+        the narrative it touched."""
+        return self._apply(event)
 
     # --- serialization ---------------------------------------------------------
 
@@ -433,27 +426,27 @@ class MemoryBank:
 
     @classmethod
     def from_dict(cls, data: dict) -> MemoryBank:
+        """The bank of a to_dict() snapshot, folded narrative by narrative as
+        create, append and consolidate events."""
         if not isinstance(data, dict) or "narratives" not in data:
             raise CorruptSnapshot("snapshot missing 'narratives'")
         bank = cls()
         try:
             for nd in data["narratives"]:
-                narrative = Narrative(
-                    owner=nd["owner"],
-                    topic=nd["topic"],
-                    last_bound_iteration=int(nd.get("last_bound_iteration", 0)),
-                    consolidated_through=int(nd.get("consolidated_through", 0)),
-                )
-                narrative.fragments.extend(_fragment_from_dict(fd) for fd in nd["fragments"])
-                narrative.subplots.extend(
-                    _subplot_from_dict(sd) for sd in nd.get("subplots", [])
-                )
-                bank._narratives[narrative.key] = narrative
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptSnapshot(f"malformed snapshot: {exc}") from exc
-        # indexed once loading is done: a repeated key keeps its first slot but
-        # its last narrative, and only that narrative is in the bank
-        for key, narrative in list(bank._narratives.items()):
-            bank._insert(key, narrative)
-            bank._index_subplots(narrative, narrative.subplots)
+                names = {"owner": nd["owner"], "topic": nd["topic"]}
+                bank._apply({"op": "create", **names})
+                bank._apply({
+                    "op": "append",
+                    **names,
+                    "fragments": nd["fragments"],
+                    "last_bound_iteration": nd.get("last_bound_iteration", 0),
+                })
+                bank._apply({
+                    "op": "consolidate",
+                    **names,
+                    "subplots": nd.get("subplots", []),
+                    "consolidated_through": nd.get("consolidated_through", 0),
+                })
+        except (KeyError, TypeError) as exc:
+            raise CorruptSnapshot(f"malformed snapshot: {exc!r}") from exc
         return bank

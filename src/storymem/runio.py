@@ -142,15 +142,6 @@ class RunReader:
             if line.strip()
         ]
 
-    def exchanges(self) -> list[dict]:
-        if not self.paths.exchanges.exists():
-            return []
-        return [
-            json.loads(line)
-            for line in self.paths.exchanges.read_text().splitlines()
-            if line.strip()
-        ]
-
     def episodic_dict(self) -> dict:
         if not self.paths.episodic.exists():
             raise MissingBank(f"{self.paths.episodic} not found")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import MalformedInput
 
@@ -169,10 +168,6 @@ class TripleStore:
                 raise MalformedInput(f"bad triple on line {ln}: {exc}") from exc
             store.add(fact)
         return store
-
-    @classmethod
-    def load(cls, path: str | Path) -> TripleStore:
-        return cls.from_jsonl(Path(path).read_text())
 
 
 _LINKING_VERBS = (

@@ -187,6 +187,14 @@ def test_query_embedding_retriever(cli_run_dir, capsys):
     assert "path: memory" in out
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_query_rejects_a_k_below_one(cli_run_dir, capsys, k):
+    rc = main(["query", str(cli_run_dir), "--question", QUESTION, "--k", k,
+               "--backend", "rule"])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_query_missing_run_dir(tmp_path, capsys):
     rc = main(["query", str(tmp_path / "nope"), "--question", "x"])
     assert rc == 2

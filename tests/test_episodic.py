@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,20 +14,25 @@ from storymem.episodic import (
     Fragment,
     MemoryBank,
     Narrative,
-    Subplot,
     fragment_id_for,
     normalize_label,
 )
 from storymem.errors import CorruptSnapshot
+from storymem.formatting import coherence_headlines
 
 TS = datetime(2023, 5, 1, 9, 0)
+SRC = Path(__file__).resolve().parents[1] / "src" / "storymem"
 
 
-def make_narrative(n_fragments: int, owner: str = "Ava", topic: str = "The plan") -> Narrative:
-    narrative = Narrative(owner=owner, topic=topic)
-    frags = [Fragment.create(f"item {i}", TS, (f"s1t{i + 1}",)) for i in range(n_fragments)]
-    narrative.append_fragments(frags, iteration=1)
-    return narrative
+def items(start: int, stop: int) -> list[Fragment]:
+    return [Fragment.create(f"item {i}", TS, (f"s1t{i + 1}",)) for i in range(start, stop)]
+
+
+def make_narrative(n_fragments: int, iteration: int = 1) -> tuple[MemoryBank, Narrative]:
+    bank = MemoryBank()
+    narrative = bank.get_or_create("Ava", "The plan")
+    bank.append_fragments(narrative, items(0, n_fragments), iteration)
+    return bank, narrative
 
 
 def test_normalize_label():
@@ -70,8 +77,7 @@ def test_extend_appends_and_tracks_binding():
 
 
 def test_is_inactive_boundary():
-    n = make_narrative(1)
-    n.last_bound_iteration = 10
+    _, n = make_narrative(1, iteration=10)
     assert not n.is_inactive(10)
     assert not n.is_inactive(11)  # bound on the previous tick: still active
     assert n.is_inactive(12)  # one full tick without binding
@@ -79,19 +85,21 @@ def test_is_inactive_boundary():
 
 
 def test_consolidation_window_caps_to_recent():
-    n = make_narrative(12)
+    _, n = make_narrative(12)
     start, window = n.consolidation_window(10)
     assert start == 2
     assert [f.text for f in window] == [f"item {i}" for i in range(2, 12)]
-    n.consolidated_through = 11
+    bank, n = make_narrative(11)
+    bank.consolidate(n, 0, [])
+    bank.append_fragments(n, items(11, 12), iteration=2)
     start, window = n.consolidation_window(10)
     assert start == 11
     assert [f.text for f in window] == ["item 11"]
 
 
 def test_apply_consolidation_creates_subplots():
-    n = make_narrative(6)
-    created = n.apply_consolidation(0, [("first pair", 0, 1), ("rest", 2, 5)])
+    bank, n = make_narrative(6)
+    created = bank.consolidate(n, 0, [("first pair", 0, 1), ("rest", 2, 5)])
     assert [s.headline for s in created] == ["first pair", "rest"]
     assert created[0].fragment_indices == (0, 1)
     assert created[1].fragment_indices == (2, 3, 4, 5)
@@ -100,8 +108,9 @@ def test_apply_consolidation_creates_subplots():
 
 
 def test_apply_consolidation_clips_and_drops():
-    n = make_narrative(4)
-    created = n.apply_consolidation(
+    bank, n = make_narrative(4)
+    created = bank.consolidate(
+        n,
         0,
         [
             ("overlong", 2, 9),  # end clipped to the window
@@ -118,11 +127,12 @@ def test_apply_consolidation_clips_and_drops():
 
 
 def test_apply_consolidation_window_offset():
-    n = make_narrative(8)
-    n.consolidated_through = 5
+    bank, n = make_narrative(5)
+    assert bank.consolidate(n, 0, []) == []
+    bank.append_fragments(n, items(5, 8), iteration=2)
     start, window = n.consolidation_window(10)
     assert start == 5
-    created = n.apply_consolidation(start, [("tail", 0, len(window) - 1)])
+    created = bank.consolidate(n, start, [("tail", 0, len(window) - 1)])
     assert created[0].fragment_indices == (5, 6, 7)
 
 
@@ -143,7 +153,7 @@ def test_rename_topic():
 def test_snapshot_round_trip_explicit():
     bank = MemoryBank()
     n = bank.extend("Ava", "Topic", ["one", "two", "three"], TS, ("s1t1", "s1t2"), iteration=4)
-    n.apply_consolidation(0, [("pair", 0, 1)])
+    bank.consolidate(n, 0, [("pair", 0, 1)])
     restored = MemoryBank.from_dict(bank.to_dict())
     assert restored.to_dict() == bank.to_dict()
     rn = restored.find("Ava", "Topic")
@@ -174,6 +184,15 @@ def test_snapshot_rejects_garbage():
         MemoryBank.from_dict({"narratives": [{"owner": "Ava"}]})
 
 
+def test_snapshot_rejects_two_narratives_under_one_key():
+    bank = MemoryBank()
+    bank.extend("Ava", "The plan", ["one"], TS, ("s1t1",), iteration=1)
+    data = bank.to_dict()
+    twin = dict(data["narratives"][0], owner=" AVA", topic="the  PLAN")
+    with pytest.raises(CorruptSnapshot):
+        MemoryBank.from_dict({**data, "narratives": [*data["narratives"], twin]})
+
+
 # --- property: snapshots are lossless ------------------------------------------
 
 label_text = st.text(
@@ -187,26 +206,23 @@ label_text = st.text(
 def banks(draw) -> MemoryBank:
     bank = MemoryBank()
     for _ in range(draw(st.integers(0, 4))):
-        owner = draw(label_text)
-        topic = draw(label_text)
-        n = bank.get_or_create(owner, topic)
-        frag_count = draw(st.integers(0, 6))
-        frags = [
-            Fragment.create(
-                draw(st.text(min_size=1, max_size=20).filter(lambda s: s.strip())),
-                datetime(2023, 5, 1 + draw(st.integers(0, 20))),
-                tuple(draw(st.lists(st.from_regex(r"s[1-9]t[1-9]", fullmatch=True), max_size=2))),
-            )
-            for _ in range(frag_count)
-        ]
-        n.append_fragments(frags, iteration=draw(st.integers(0, 30)))
-        if frag_count and draw(st.booleans()):
-            hi = draw(st.integers(0, frag_count - 1))
-            lo = draw(st.integers(0, hi))
-            n.subplots.append(
-                Subplot(headline=draw(label_text), fragment_indices=tuple(range(lo, hi + 1)))
-            )
-        n.consolidated_through = draw(st.integers(0, frag_count))
+        n = bank.get_or_create(draw(label_text), draw(label_text))
+        for _ in range(draw(st.integers(1, 2))):
+            frags = [
+                Fragment.create(
+                    draw(st.text(min_size=1, max_size=20).filter(lambda s: s.strip())),
+                    datetime(2023, 5, 1 + draw(st.integers(0, 20))),
+                    tuple(draw(st.lists(st.from_regex(r"s[1-9]t[1-9]", fullmatch=True),
+                                        max_size=2))),
+                )
+                for _ in range(draw(st.integers(0, 4)))
+            ]
+            bank.append_fragments(n, frags, iteration=draw(st.integers(0, 30)))
+            if n.unconsolidated_count() and draw(st.booleans()):
+                start, window = n.consolidation_window(draw(st.integers(1, 6)))
+                hi = draw(st.integers(0, len(window) - 1))
+                lo = draw(st.integers(0, hi))
+                bank.consolidate(n, start, [(draw(label_text), lo, hi)])
     return bank
 
 
@@ -215,3 +231,103 @@ def banks(draw) -> MemoryBank:
 def test_snapshot_round_trip_property(bank):
     data = bank.to_dict()
     assert MemoryBank.from_dict(data).to_dict() == data
+
+
+# --- property: one write path, three ways to the same bank ----------------------
+
+# labels overlap on purpose: case and spacing variants of one owner, one topic
+# and one headline, a blank headline, a topic that doubles as a headline
+OWNERS = ["Ava", " ava", "Ben"]
+TOPICS = ["Garden", "garden ", "Kiln day", "Shared"]
+HEADLINES = ["Shared", "SHARED", "Planting", " "]
+
+bank_ops = st.lists(
+    st.one_of(
+        # texts may be blank, and blank texts are skipped
+        st.tuples(st.just("extend"), st.sampled_from(OWNERS), st.sampled_from(TOPICS),
+                  st.lists(st.sampled_from(["a", "b", " "]), max_size=3), st.integers(0, 9)),
+        # intervals may run past either end of the window, or be empty
+        st.tuples(st.just("consolidate"), st.integers(0, 20), st.integers(1, 4),
+                  st.lists(st.tuples(st.sampled_from(HEADLINES), st.integers(-2, 3),
+                                     st.integers(-1, 5)), max_size=3)),
+        # renames may change nothing, or collide with another narrative
+        st.tuples(st.just("rename"), st.integers(0, 20), st.sampled_from(TOPICS + ["Later"])),
+    ),
+    max_size=20,
+)
+
+
+def run_ops(ops) -> MemoryBank:
+    bank = MemoryBank()
+    for step, op in enumerate(ops):
+        if op[0] == "extend":
+            _, owner, topic, texts, iteration = op
+            texts = [f"{t} {step}" if t.strip() else t for t in texts]
+            bank.extend(owner, topic, texts, TS, (f"t{step}",), iteration)
+            continue
+        narratives = bank.narratives()
+        if not narratives:
+            continue
+        narrative = narratives[op[1] % len(narratives)]
+        if op[0] == "consolidate":
+            start, _ = narrative.consolidation_window(op[2])
+            bank.consolidate(narrative, start, op[3])
+        else:
+            bank.rename_topic(narrative, op[2])
+    return bank
+
+
+def subplot_answers(bank: MemoryBank) -> list:
+    answers = []
+    for owner in OWNERS:
+        for headline in HEADLINES + TOPICS:
+            found = bank.find_subplot(owner, headline)
+            if found is not None:
+                n, s = found
+                found = (n.owner, n.topic, s.headline, s.fragment_indices)
+            answers.append(found)
+    return answers
+
+
+@settings(max_examples=150, deadline=None)
+@given(bank_ops)
+def test_live_folded_and_restored_banks_agree(ops):
+    live = run_ops(ops)
+    folded = MemoryBank()
+    for event in live.drain_events():
+        folded.apply(event)
+    restored = MemoryBank.from_dict(live.to_dict())
+    for bank in (folded, restored):
+        assert bank.to_dict() == live.to_dict()
+        assert subplot_answers(bank) == subplot_answers(live)
+        assert coherence_headlines(bank) == coherence_headlines(live)
+    assert folded.drain_events() == restored.drain_events() == []
+
+
+# names that hold bank state: a narrative's fields and the bank's own dicts
+BANK_STATE = {"fragments", "subplots", "topic", "last_bound_iteration",
+              "consolidated_through", "_narratives", "_subplots", "_rank"}
+
+
+def test_only_apply_changes_bank_state():
+    """Outside MemoryBank._apply, no program code assigns a narrative's fields,
+    extends its lists or inserts into the bank's dicts."""
+    writers = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Delete)):
+                    targets = getattr(node, "targets", None) or [node.target]
+                    targets = [t.value if isinstance(t, ast.Subscript) else t for t in targets]
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in {"append", "extend", "insert", "setdefault"}:
+                    targets = [node.func.value]
+                else:
+                    continue
+                if any(isinstance(t, ast.Attribute) and t.attr in BANK_STATE for t in targets):
+                    writers.add((path.name, func.name))
+    # __init__ only binds the empty dicts
+    assert writers == {("episodic.py", "_apply"), ("episodic.py", "__init__")}

@@ -7,10 +7,10 @@ from collections import Counter
 
 import pytest
 
-from storymem.backends import Backend, ScriptedBackend
+from storymem.backends import Backend, RuleBackend, ScriptedBackend
 from storymem.engine import EngineConfig, MemoryEngine
 from storymem.episodic import MemoryBank
-from storymem.errors import BackendError
+from storymem.errors import BackendError, ScriptMiss
 from storymem.evaluate import ALL_MODES, DEFAULT_K_SWEEP, run_evaluation
 from storymem.metrics import constraint_recall, coverage_rate
 from storymem.prompts import PromptKind
@@ -196,6 +196,45 @@ def test_custom_constraints_override_question_evidence(b0_run, transcript, scrip
     assert report["recall"]["per_instruction"]["c1"] == 100.0
     assert report["recall"]["per_instruction"]["c2"] == 0.0
     assert report["recall"]["mean"] == 50.0
+
+
+class MissRecording(Backend):
+    """Scripted backend that keeps the kind of each prompt its table lacks."""
+
+    name = "miss-recording"
+
+    def __init__(self, script_table: dict):
+        self.inner = ScriptedBackend(script_table)
+        self.misses: list[PromptKind] = []
+
+    def complete(self, kind: PromptKind, rendered: str) -> str:
+        try:
+            return self.inner.complete(kind, rendered)
+        except ScriptMiss:
+            self.misses.append(kind)
+            raise
+
+
+def test_script_table_covers_the_embedding_evaluation(b0_run, transcript, script_table):
+    """The scripted embedding-retriever evaluation finds every prompt in the
+    table, so its report is the rule backend's, latency aside."""
+    _, paths = b0_run
+    records = RunReader(paths.root).records()
+    scripted = MissRecording(script_table)
+    reports = []
+    for backend in (scripted, RuleBackend()):
+        engine = restore_engine(paths, transcript, backend)
+        try:
+            report, _ = run_evaluation(
+                engine, transcript.questions, retriever="embedding", records=records
+            )
+        finally:
+            engine.close()
+        report.pop("latency")
+        reports.append(report)
+    assert scripted.misses == []
+    assert reports[0] == reports[1]
+    assert len(reports[0]["answers"]) == 13
 
 
 # --- each distinct prompt is sent once per evaluation ----------------------------------

@@ -355,7 +355,7 @@ def scan_resolve(bank: MemoryBank, choices: list[RetrievalChoice], k: int):
         topic = normalize_label(choice.topic)
         resolved = None
         for n in narratives:
-            if n.key == (owner, topic):
+            if (normalize_label(n.owner), normalize_label(n.topic)) == (owner, topic):
                 resolved = _plot_block(n)
                 break
         if resolved is None:

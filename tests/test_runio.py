@@ -26,7 +26,7 @@ def test_writer_reader_round_trip(tmp_path):
     reader = RunReader(root)
     assert reader.config() == {"engine": {"T": 5}, "backend": {"kind": "rule"}}
     assert reader.records() == [{"iteration": 1}, {"iteration": 2}]
-    assert reader.exchanges() == [{"kind": "answer", "digest": "d"}]
+    assert reader.paths.exchanges.read_text() == '{"digest": "d", "kind": "answer"}\n'
     assert reader.episodic_dict() == {"narratives": []}
     assert reader.semantic_jsonl() == '{"subject": "A"}\n'
     assert reader.bank_log() == [
@@ -74,7 +74,6 @@ def test_reader_missing_pieces(tmp_path):
     (root / "config.json").write_text("{}")
     reader = RunReader(root)
     assert reader.records() == []
-    assert reader.exchanges() == []
     with pytest.raises(MissingBank):
         reader.episodic_dict()
     with pytest.raises(MissingBank):

@@ -82,7 +82,7 @@ def test_jsonl_round_trip(tmp_path):
 
     path = tmp_path / "facts.jsonl"
     path.write_text(text)
-    assert len(TripleStore.load(path)) == 2
+    assert len(TripleStore.from_jsonl(path.read_text())) == 2
 
     assert TripleStore.from_jsonl("").to_jsonl() == ""
     with pytest.raises(MalformedInput):
