@@ -221,9 +221,8 @@ class LiveBackend(Backend):
 # --- deterministic heuristic backend ---------------------------------------------
 
 _TURN_LINE = re.compile(r"^\[(?P<ts>[^\]]*)\] (?P<speaker>[^:]+): (?P<text>.*)$")
-_HEADLINE_LINE = re.compile(
-    r"^- owner: (?P<owner>.*?) \| topic: (?P<topic>.*?)(?P<sub> \[sub-story of: .*\])?$"
-)
+_HEADLINE_LINE = re.compile(r"^- owner: (?P<owner>.*?) \| topic: (?P<topic>.*)$")
+_SUBSTORY_LINE = re.compile(r"^- sub-story: (?P<headline>.*)$")
 _ITEM_LINE = re.compile(r"^\d+\. \[(?P<ts>[^\]]*)\] (?P<text>.*)$")
 _TOPIC_MARKER = re.compile(r"(?:update on|about|regarding)\s+([^:.,!?]+)", re.IGNORECASE)
 _SPEAKER_PREFIX = re.compile(r"^[^:]{1,40}: ")
@@ -301,7 +300,7 @@ class RuleBackend(Backend):
         existing = set()
         for line in existing_text.splitlines():
             m = _HEADLINE_LINE.match(line.strip())
-            if m and not m.group("sub"):
+            if m:
                 existing.add((m.group("owner").casefold(), m.group("topic").casefold()))
         new_conv = _section(rendered, "New conversation turn:", "Output format:")
         decisions = []
@@ -360,13 +359,17 @@ class RuleBackend(Backend):
         stories_text = _section(rendered, "Stories:", "Output format:")
         qtokens = content_tokens(question)
         scored = []
+        owner = None  # of the plot line above; sub-story lines inherit it
         for idx, line in enumerate(stories_text.splitlines()):
-            hm = _HEADLINE_LINE.match(line.strip())
-            if not hm:
+            line = line.strip()
+            if hm := _HEADLINE_LINE.match(line):
+                owner, topic, bonus = hm.group("owner"), hm.group("topic"), 0.0
+            elif (sm := _SUBSTORY_LINE.match(line)) and owner is not None:
+                topic, bonus = sm.group("headline"), 0.25
+            else:
                 continue
-            tokens = content_tokens(f"{hm.group('owner')} {hm.group('topic')}")
-            score = len(tokens & qtokens) + (0.25 if hm.group("sub") else 0.0)
-            scored.append((-score, idx, hm.group("owner"), hm.group("topic")))
+            score = len(content_tokens(f"{owner} {topic}") & qtokens) + bonus
+            scored.append((-score, idx, owner, topic))
         scored.sort()
         choices = []
         seen = set()

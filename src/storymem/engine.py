@@ -7,9 +7,9 @@ path never mutates memory and never waits for offline work.
 
 Offline path: once the history exceeds T, a single background worker
 forms memory asynchronously. The first tick initializes narratives from
-the first T turns; every later tick binds the newest exchange into the
-bank, then consolidates narratives whose activity just lapsed and
-distills their durable facts into the triple store.
+the first T turns; every tick, the first included, binds the newest
+exchange into the bank, then consolidates narratives whose activity just
+lapsed and distills their durable facts into the triple store.
 
 run_replay drives a whole transcript through the engine, draining the
 worker after every turn so scripted runs are reproducible byte for byte,
@@ -426,8 +426,7 @@ class MemoryEngine:
             if init_turns is not None and not self._mem_init_done:
                 self._mem_init(record, init_turns)
                 self._mem_init_done = True
-            else:
-                self._bind(record, q_turn, r_turn, context)
+            self._bind(record, q_turn, r_turn, context)
             self._consolidation_pass(record)
         except (ParseFailure, SchemaMismatch) as exc:
             record.error = f"offline: {exc}"

@@ -57,11 +57,18 @@ def binding_headlines(bank: MemoryBank) -> str:
 
 
 def coherence_headlines(bank: MemoryBank) -> str:
-    """Plot headlines plus subplot headlines, in bank order.
+    """The outline of plot headlines, each followed by its subplots.
 
-    A subplot line carries its own headline as the topic; the suffix is
-    informational and not part of the choice key. The outline is built
-    once for each state of the bank (MemoryBank.derived).
+    A plot line reads ``- owner: X | topic: Y``; each of its subplots
+    follows, in bank order, as an indented ``  - sub-story: <headline>``
+    line whose owner and parent are the plot line above it:
+
+        - owner: Ava | topic: The kitchen renovation
+          - sub-story: Ava picked the tiles
+
+    A choice names a sub-story by the plot's owner and the sub-story's
+    headline. The outline is built once for each state of the bank
+    (MemoryBank.derived).
     """
     return bank.derived("coherence_headlines", _build_coherence_headlines)
 
@@ -70,10 +77,7 @@ def _build_coherence_headlines(bank: MemoryBank) -> str:
     lines: list[str] = []
     for n in bank.narratives():
         lines.append(f"- owner: {n.owner} | topic: {n.topic}")
-        for s in n.subplots:
-            lines.append(
-                f"- owner: {n.owner} | topic: {s.headline} [sub-story of: {n.topic}]"
-            )
+        lines += [f"  - sub-story: {s.headline}" for s in n.subplots]
     return "\n".join(lines) if lines else "(none)"
 
 

@@ -24,6 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .errors import CorruptSnapshot, MissingBank, MissingBankLog
 from .transcript import Transcript
@@ -66,8 +67,11 @@ def _dump_line(row) -> str:
     return json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _dump_lines(rows) -> str:
-    return "".join(_dump_line(row) for row in rows)
+def _write_lines(path: Path, rows: Iterable[dict]) -> None:
+    """Write one JSON line per row, a line at a time."""
+    with path.open("w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(_dump_line(row))
 
 
 def transcript_stamp(transcript: Transcript, path: str | Path | None) -> dict:
@@ -113,11 +117,11 @@ class RunWriter:
         """Append the bank log's line for one iteration."""
         self._log.write(_dump_line({"iteration": iteration, "events": events}))
 
-    def write_records(self, records: list[dict]) -> None:
-        self.paths.records.write_text(_dump_lines(records))
+    def write_records(self, records: Iterable[dict]) -> None:
+        _write_lines(self.paths.records, records)
 
-    def write_exchanges(self, exchanges: list[dict]) -> None:
-        self.paths.exchanges.write_text(_dump_lines(exchanges))
+    def write_exchanges(self, exchanges: Iterable[dict]) -> None:
+        _write_lines(self.paths.exchanges, exchanges)
 
     def write_final(self, bank_dict: dict, semantic_jsonl: str) -> None:
         self.paths.episodic.write_text(_dump(bank_dict))

@@ -21,16 +21,16 @@ from storymem.transcript import count_tokens
 
 REPLAY_CALLS = {
     "story_init": 1,
-    "memory_binding": 39,
+    "memory_binding": 40,
     "consolidation": 18,
     "semanticization": 18,
 }
 
 REPLAY_BYTES = {
-    "bank_log.jsonl": 31258,
+    "bank_log.jsonl": 31821,
     "config.json": 387,
-    "episodic.json": 32034,
-    "exchanges.jsonl": 209294,
+    "episodic.json": 32629,
+    "exchanges.jsonl": 213318,
     "records.jsonl": 11771,
     "semantic.jsonl": 3244,
 }
@@ -42,7 +42,9 @@ EVAL_CALLS = {
     "answer": 13,
     "judge": 13,
 }
-EVAL_PROMPT_TOKENS = 20608
+EVAL_PROMPT_TOKENS = 17020
+# the ranking prompts alone, which carry the narrative outline
+EVAL_OUTLINE_PROMPT_TOKENS = 7083
 
 
 class Counting(Backend):
@@ -51,11 +53,11 @@ class Counting(Backend):
     def __init__(self, inner: Backend):
         self.inner = inner
         self.calls: Counter[str] = Counter()
-        self.prompt_tokens = 0
+        self.prompt_tokens: Counter[str] = Counter()
 
     def complete(self, kind, rendered):
         self.calls[kind.value] += 1
-        self.prompt_tokens += count_tokens(rendered)
+        self.prompt_tokens[kind.value] += count_tokens(rendered)
         return self.inner.complete(kind, rendered)
 
 
@@ -105,4 +107,5 @@ def test_evaluation_calls_per_kind(b0_run, transcript, script_table):
     finally:
         engine.close()
     assert dict(backend.calls) == EVAL_CALLS
-    assert backend.prompt_tokens == EVAL_PROMPT_TOKENS
+    assert backend.prompt_tokens["coherence_retrieve"] == EVAL_OUTLINE_PROMPT_TOKENS
+    assert backend.prompt_tokens.total() == EVAL_PROMPT_TOKENS

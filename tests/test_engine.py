@@ -95,14 +95,15 @@ def test_memory_initializes_once_at_crossing(b0_run):
     records = engine.records()
     assert [r.iteration for r in records if r.mem_init] == [21]
     by_iter = {r.iteration: r for r in records}
-    # the first T turns arrive as narrative fragments in one batch
-    assert by_iter[21].bound_fragments == 20
+    # the first T turns arrive as narrative fragments in one batch, and
+    # the crossing turn is bound on the same tick
+    assert by_iter[21].bound_fragments == 21
     assert all(by_iter[i].bound_fragments == 0 for i in range(1, 21))
     # afterwards each tick binds exactly the one new turn
     assert all(by_iter[i].bound_fragments == 1 for i in range(22, 61))
 
 
-def test_crossing_turn_is_never_bound(b0_run, transcript):
+def test_crossing_turn_is_bound(b0_run, transcript):
     engine, _ = b0_run
     crossing = transcript.turns[20].turn_id  # the turn that trips the threshold
     bound_ids = {
@@ -112,9 +113,9 @@ def test_crossing_turn_is_never_bound(b0_run, transcript):
         for tid in f.turn_ids
     }
     assert crossing == "s2t1"
-    assert crossing not in bound_ids
-    # every other turn is represented
-    assert bound_ids == transcript.turn_ids() - {crossing}
+    assert crossing in bound_ids
+    # every turn is represented
+    assert bound_ids == transcript.turn_ids()
 
 
 def test_consolidation_fires_on_inactivity_edges(b0_run):
@@ -158,7 +159,7 @@ def test_offline_work_is_independent_of_buffer(b0_run, b4_run):
         if e["kind"] in OFFLINE_KINDS
     ]
     assert seq0 == seq4
-    assert len(seq0) == 76
+    assert len(seq0) == 77
     assert b0_run[0].bank.to_dict() == b4_run[0].bank.to_dict()
     assert b0_run[0].store.to_jsonl() == b4_run[0].store.to_jsonl()
 
@@ -176,7 +177,7 @@ def test_run_artifacts_on_disk(b0_run, transcript):
     final = json.loads(paths.episodic.read_text())
     assert final == engine.bank.to_dict()
     assert paths.semantic.read_text() == engine.store.to_jsonl()
-    assert len(paths.exchanges.read_text().splitlines()) == 76
+    assert len(paths.exchanges.read_text().splitlines()) == 77
 
 
 # --- consolidation policies ------------------------------------------------------------
@@ -215,7 +216,7 @@ def test_policy_inactive_fires_exactly_on_the_edge():
     # (speaker, topic) narrative lapses two ticks after its last binding.
     engine = run_tiny("inactive")
     per_iter = {r.iteration: r.consolidations for r in engine.records() if r.consolidations}
-    assert per_iter == {7: 3, 8: 1, 9: 1, 10: 1, 11: 1, 12: 1}
+    assert per_iter == {7: 4, 8: 1, 9: 1, 10: 1, 11: 1, 12: 1}
     # nothing consolidated was bound in the same tick
     for record in engine.records():
         consolidated = {tuple(pair) for pair in record.consolidated}
@@ -349,14 +350,15 @@ def test_script_miss_aborts_and_flushes(tmp_path, transcript, script_table):
             run_replay(engine, transcript, out)
     finally:
         engine.close()
-    # the init tick succeeded; the first binding tick killed the run
+    # the init succeeded; binding the crossing turn on the same tick
+    # killed the run
     assert (out / "config.json").exists()
     assert (out / "episodic.json").exists()
     assert len(json.loads((out / "episodic.json").read_text())["narratives"]) == 8
     records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
-    assert len(records) == 22
+    assert len(records) == 21
     # the log holds the clean turns and was flushed and closed on abort
-    assert len((out / "bank_log.jsonl").read_text().splitlines()) == 21
+    assert len((out / "bank_log.jsonl").read_text().splitlines()) == 20
 
 
 class CorruptOneKind(Backend):

@@ -214,10 +214,10 @@ def test_export_timeline_from_run_bank_log(b0_run):
     timeline = export_timeline(RunReader(paths.root).bank_log())
     assert timeline.iterations == list(range(1, 61))
     assert len(timeline.narratives) == 20
-    # the init batch lands 20 fragments at the crossing tick
-    assert sum(n.bound.get(21, 0) for n in timeline.narratives) == 20
-    # one fragment per later tick, minus the unbound crossing turn
-    assert sum(sum(n.bound.values()) for n in timeline.narratives) == 59
+    # the init batch and the crossing turn land 21 fragments at the crossing tick
+    assert sum(n.bound.get(21, 0) for n in timeline.narratives) == 21
+    # then one fragment per later tick: every turn is bound once
+    assert sum(sum(n.bound.values()) for n in timeline.narratives) == 60
     markers = {i for n in timeline.narratives for i in n.markers}
     assert markers == {23, 25, 26, 31, 32, 37, 38, 43, 44, 49, 50, 55, 56}
 

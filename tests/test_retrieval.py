@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from datetime import datetime
 
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storymem.backends import Backend
+from storymem.backends import Backend, RuleBackend, _section
 from storymem.episodic import Fragment, MemoryBank, normalize_label
-from storymem.formatting import _build_coherence_headlines, coherence_headlines
-from storymem.parsing import RetrievalChoice
+from storymem.formatting import _build_coherence_headlines, coherence_headlines, content_tokens
+from storymem.parsing import RetrievalChoice, to_canonical
 from storymem.prompts import PromptKind
 from storymem.reasoner import Reasoner
 from storymem.retrieval import (
@@ -485,3 +486,121 @@ def test_cached_outline_follows_every_bank_change(ops):
     restored = MemoryBank.from_dict(live.to_dict())
     check(restored)
     assert coherence_headlines(restored) == coherence_headlines(live) == coherence_headlines(folded)
+
+
+# --- the nested outline against the flat one it replaced ---------------------------
+
+_FLAT_LINE = re.compile(
+    r"^- owner: (?P<owner>.*?) \| topic: (?P<topic>.*?)(?P<sub> \[sub-story of: .*\])?$"
+)
+
+
+def flat_outline(bank: MemoryBank) -> str:
+    """The outline before nesting: each sub-story line restated its owner
+    and its parent topic."""
+    lines: list[str] = []
+    for n in bank.narratives():
+        lines.append(f"- owner: {n.owner} | topic: {n.topic}")
+        for s in n.subplots:
+            lines.append(f"- owner: {n.owner} | topic: {s.headline} [sub-story of: {n.topic}]")
+    return "\n".join(lines) if lines else "(none)"
+
+
+class FlatRuleBackend(RuleBackend):
+    """RuleBackend with the ranking it used on the flat outline."""
+
+    def _coherence(self, rendered: str) -> str:
+        k = int(re.search(r"select the top (\d+) stories", rendered).group(1))
+        qtokens = content_tokens(_section(rendered, "Question:", "Stories:"))
+        scored = []
+        stories_text = _section(rendered, "Stories:", "Output format:")
+        for idx, line in enumerate(stories_text.splitlines()):
+            hm = _FLAT_LINE.match(line.strip())
+            if not hm:
+                continue
+            tokens = content_tokens(f"{hm.group('owner')} {hm.group('topic')}")
+            score = len(tokens & qtokens) + (0.25 if hm.group("sub") else 0.0)
+            scored.append((-score, idx, hm.group("owner"), hm.group("topic")))
+        scored.sort()
+        choices: list[RetrievalChoice] = []
+        seen = set()
+        for _, _, owner, topic in scored:
+            if (owner.casefold(), topic.casefold()) not in seen:
+                seen.add((owner.casefold(), topic.casefold()))
+                choices.append(RetrievalChoice(owner=owner, topic=topic))
+        return to_canonical(PromptKind.COHERENCE_RETRIEVE, choices[:k])
+
+
+def read_outline(outline: str) -> list[tuple[str, str, str]]:
+    """(kind, owner, headline) per line, the owner of a sub-story line
+    taken from the plot line above it."""
+    rows, owner = [], None
+    for line in outline.splitlines():
+        if m := re.fullmatch(r"- owner: (.*?) \| topic: (.*)", line):
+            owner = m.group(1)
+            rows.append(("plot", owner, m.group(2)))
+        else:
+            m = re.fullmatch(r"  - sub-story: (.*)", line)
+            assert m and owner is not None, line
+            rows.append(("subplot", owner, m.group(1)))
+    return rows
+
+
+def scan_block(bank: MemoryBank, owner: str, headline: str):
+    """What a choice of (owner, headline) names, by a walk over the bank: a
+    plot under that key, or else the first such subplot in bank order."""
+    key = (normalize_label(owner), normalize_label(headline))
+    narratives = bank.narratives()
+    for n in narratives:
+        if (normalize_label(n.owner), normalize_label(n.topic)) == key:
+            return _plot_block(n)
+    for n in narratives:
+        for s in n.subplots:
+            if (normalize_label(n.owner), normalize_label(s.headline)) == key:
+                return _sub_block(n, s)
+    raise AssertionError(f"nothing in the bank is named {key}")
+
+
+QUESTION_WORDS = ["ava", "ben", "garden", "kiln", "day", "shared", "planting", "later", "why"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bank_ops, st.lists(st.sampled_from(QUESTION_WORDS), min_size=1, max_size=4))
+def test_nested_outline_keeps_every_headline_and_every_choice(ops, words):
+    bank = build_bank(ops)
+    outline = coherence_headlines(bank)
+    narratives = bank.narratives()
+
+    # one line per plot and per subplot, in bank order
+    want = []
+    for n in narratives:
+        want.append(("plot", n.owner, n.topic))
+        want += [("subplot", n.owner, s.headline) for s in n.subplots]
+    rows = read_outline(outline) if narratives else []
+    assert rows == want if narratives else outline == "(none)"
+
+    # each line's (owner, headline) names its own plot or subplot; a name
+    # that several lines share resolves as a walk over the bank does (the
+    # flat outline's lines carried the same names)
+    own = []
+    for n in narratives:
+        own.append(_plot_block(n))
+        own += [_sub_block(n, s) for s in n.subplots]
+    keys = [(normalize_label(owner), normalize_label(headline)) for _, owner, headline in rows]
+    for (_, owner, headline), key, block in zip(rows, keys, own):
+        [resolved] = resolve_choices(bank, [RetrievalChoice(owner=owner, topic=headline)], 1)
+        assert resolved == (block if keys.count(key) == 1 else scan_block(bank, owner, headline))
+
+    # the rule backend ranks the nested outline as it ranked the flat one
+    question = " ".join(words) + "?"
+    nested, flat = Reasoner(RuleBackend()), Reasoner(FlatRuleBackend())
+    for k in range(1, 7):
+        assert nested.choose_stories(k, question, outline) == flat.choose_stories(
+            k, question, flat_outline(bank)
+        )
+        # a sub-story line with no plot above it is skipped, even when it
+        # matches the question best
+        orphan = f"  - sub-story: {question}\n{outline}"
+        assert nested.choose_stories(k, question, orphan) == nested.choose_stories(
+            k, question, outline
+        )
