@@ -153,7 +153,6 @@ class AskOutcome:
     context_tokens: int  # stories + facts + buffer, as shown to the model
     memory_tokens: int  # stories + facts only
     full_history_tokens: int
-    latency: float
 
     @property
     def retrieved_turn_ids(self) -> set[str]:
@@ -285,8 +284,8 @@ class MemoryEngine:
                         add_trivas="",
                     )
                 else:
-                    outcome = self._answer_from_memory(turn.text, "coherence", None)
-                    response = outcome[0]
+                    result = self._retrieve(turn.text, "coherence", None, self.config.k)
+                    response, _ = self._answer_from_memory(turn.text, result)
             except (BackendError, ParseFailure, SchemaMismatch) as exc:
                 record.error = f"online: {exc}"
                 logger.warning("online answer failed at iteration %d: %s", iteration, exc)
@@ -310,25 +309,20 @@ class MemoryEngine:
             self._pending.append(fut)
         return response, record
 
-    def _memory_context(
-        self,
-        question: str,
-        retriever: str,
-        provider,
-        k: int | None = None,
-        depth: int | None = None,
-    ) -> tuple[RetrievalResult, list[Turn]]:
-        k = self.config.k if k is None else k
+    def _retrieve(
+        self, question: str, retriever: str, provider, k: int
+    ) -> RetrievalResult:
         if retriever == "embedding":
-            result = retrieve_embedding(
-                self.bank, provider or HashedBagEmbedding(), question, k
-            )
-        else:
-            result = retrieve_coherence(
-                self.bank, self.store, self.reasoner, question, k, depth=depth
-            )
-        buffer = self._history[-self.config.B:] if self.config.B > 0 else []
-        return result, buffer
+            return retrieve_embedding(self.bank, provider or HashedBagEmbedding(), question, k)
+        return retrieve_coherence(self.bank, self.store, self.reasoner, question, k)
+
+    def _buffer(self) -> list[Turn]:
+        return self._history[-self.config.B:] if self.config.B > 0 else []
+
+    @property
+    def answers_from_memory(self) -> bool:
+        """Whether ask answers from retrieved memories, not the full history."""
+        return len(self._history) > self.config.switch_threshold and len(self.bank) > 0
 
     def retrieve(
         self,
@@ -336,21 +330,20 @@ class MemoryEngine:
         k: int | None = None,
         retriever: str = "coherence",
         provider=None,
-        depth: int | None = None,
     ) -> tuple[RetrievalResult, tuple[str, ...]]:
-        """Retrieval probe: memories plus buffer turn ids, no answering.
-
-        ``depth`` is the ranking depth asked of coherence retrieval (see
-        retrieve_coherence); it defaults to k.
-        """
+        """Retrieval probe: the top k memories (the engine's k when not
+        given) plus buffer turn ids, no answering."""
+        k = self.config.k if k is None else k
+        if k < 1:
+            raise MalformedInput(f"k must be positive, got {k}")
         self._set_phase(self._iteration, "eval")
-        result, buffer = self._memory_context(question, retriever, provider, k=k, depth=depth)
-        return result, tuple(t.turn_id for t in buffer)
+        result = self._retrieve(question, retriever, provider, k)
+        return result, tuple(t.turn_id for t in self._buffer())
 
     def _answer_from_memory(
-        self, question: str, retriever: str, provider, depth: int | None = None
-    ) -> tuple[str, RetrievalResult, list[Turn]]:
-        result, buffer = self._memory_context(question, retriever, provider, depth=depth)
+        self, question: str, result: RetrievalResult
+    ) -> tuple[str, list[Turn]]:
+        buffer = self._buffer()
         sections = []
         if result.blocks:
             sections.append(result.stories_text())
@@ -361,25 +354,26 @@ class MemoryEngine:
             full_stories="\n\n".join(sections),
             add_trivas=result.facts_as_text(),
         )
-        return answer, result, buffer
+        return answer, buffer
 
     def ask(
         self,
         question: str,
         retriever: str = "coherence",
         provider=None,
-        depth: int | None = None,
+        retrieval: RetrievalResult | None = None,
     ) -> AskOutcome:
         """Answer an evaluation question without advancing the conversation.
 
-        The answer reads the engine's k stories; ``depth`` is the ranking
-        depth asked of coherence retrieval (see retrieve_coherence).
+        On the memory path the answer reads the engine's k stories. A
+        caller that already retrieved the question, at the engine's k or
+        deeper, passes that result as ``retrieval`` and the answer reads
+        its top k; otherwise ask retrieves with ``retriever``. A question
+        answered from the full history retrieves nothing.
         """
-        start = time.perf_counter()
         self._set_phase(self._iteration, "eval")
         full_tokens = self._history_tokens
-        use_memory = len(self._history) > self.config.switch_threshold and len(self.bank) > 0
-        if not use_memory:
+        if not self.answers_from_memory:
             full_stories = format_history(self._history)
             answer = self.reasoner.answer(
                 question=question, full_stories=full_stories, add_trivas=""
@@ -393,9 +387,14 @@ class MemoryEngine:
                 context_tokens=full_tokens,
                 memory_tokens=full_tokens,
                 full_history_tokens=full_tokens,
-                latency=time.perf_counter() - start,
             )
-        answer, result, buffer = self._answer_from_memory(question, retriever, provider, depth)
+        if retrieval is None:
+            result = self._retrieve(question, retriever, provider, self.config.k)
+        elif retrieval.query != question:
+            raise MalformedInput(f"retrieval for {retrieval.query!r} passed to ask {question!r}")
+        else:
+            result = retrieval.top(self.config.k)
+        answer, buffer = self._answer_from_memory(question, result)
         memory_tokens = result.retrieved_token_count
         buffer_tokens = count_tokens(format_history(buffer)) if buffer else 0
         return AskOutcome(
@@ -407,7 +406,6 @@ class MemoryEngine:
             context_tokens=memory_tokens + buffer_tokens,
             memory_tokens=memory_tokens,
             full_history_tokens=full_tokens,
-            latency=time.perf_counter() - start,
         )
 
     # --- offline path ------------------------------------------------------------

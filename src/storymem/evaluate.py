@@ -5,25 +5,27 @@ produces the report sections requested: answers judged for correctness,
 evidence coverage swept over k, per-question compression, latency
 percentiles, and constraint recall.
 
-One evaluation retrieves for each question several times: once to
-answer, once per k of the coverage sweep, and once for recall. Every
-one of them asks for the same ranking, as deep as the largest k in use
-(the sweep's and the engine's), and cuts it to its own k. The translate
-prompt depends only on the question. So each question renders one
-retrieval prompt and one translate prompt, and the whole evaluation runs
-inside the Reasoner's memoized() scope, which sends each distinct prompt
-once. A backend whose top-k list is a prefix of its deeper lists, as the
-rule and scripted backends' are, gives the same report and traces as
-asking at each k.
+Every reader of a question reads the same retrieval: the answer, each k
+of the coverage sweep, and recall. So each distinct question or
+instruction text is retrieved once, as deep as the largest k in use (the
+sweep's and the engine's), and each reader takes RetrievalResult.top of
+it at its own k. That is exact, because every retriever cuts a ranking
+that does not depend on k; for coherence retrieval it also needs a
+backend whose top-k list is a prefix of its deeper lists, as the rule
+and scripted backends' are. A question the engine answers from the full
+history is not retrieved for its answer. The evaluation runs inside the
+Reasoner's memoized() scope, which now catches only prompts that repeat:
+two questions with the same text, for one, share their answer prompt.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from typing import Iterable, Sequence
 
 from .engine import MemoryEngine
-from .errors import BackendError, ParseFailure, SchemaMismatch, ZeroHistory
+from .errors import BackendError, MalformedInput, ParseFailure, SchemaMismatch, ZeroHistory
 from .metrics import (
     compression_rate,
     constraint_recall,
@@ -32,6 +34,7 @@ from .metrics import (
     j_score,
     latency_percentiles,
 )
+from .retrieval import RetrievalResult
 from .transcript import EvalQuestion
 
 logger = logging.getLogger(__name__)
@@ -56,10 +59,24 @@ def run_evaluation(
     {"error": ...} instead of sinking the whole evaluation. Each distinct
     prompt reaches the backend once per call.
     """
+    for k in k_sweep:
+        if k < 1:
+            raise MalformedInput(f"k_sweep values must be positive, got {k}")
     with engine.reasoner.memoized():
         modes = list(modes)
-        # one ranking per question, as deep as any k below asks for
+        # one retrieval per distinct text, as deep as any k below reads
         depth = max([engine.config.k, *k_sweep])
+        retrievals: dict[str, tuple[RetrievalResult, tuple[str, ...]]] = {}
+
+        def retrieved(text: str) -> tuple[RetrievalResult, tuple[str, ...]]:
+            if text not in retrievals:
+                retrievals[text] = engine.retrieve(text, k=depth, retriever=retriever)
+            return retrievals[text]
+
+        def turn_ids(text: str, k: int) -> set[str]:
+            result, buffer_ids = retrieved(text)
+            return result.top(k).retrieved_turn_ids | set(buffer_ids)
+
         report: dict = {"modes": modes, "retriever": retriever, "k": engine.config.k}
         traces: list[dict] = []
 
@@ -69,13 +86,16 @@ def run_evaluation(
         need_answers = "jscore" in modes or "compression" in modes or "latency" in modes
         if need_answers:
             for q in questions:
+                # the answer's latency includes the retrieval it reads
+                start = time.perf_counter()
                 try:
-                    outcome = engine.ask(q.text, retriever=retriever, depth=depth)
+                    ready = retrieved(q.text)[0] if engine.answers_from_memory else None
+                    outcome = engine.ask(q.text, retrieval=ready, retriever=retriever)
                 except (BackendError, ParseFailure, SchemaMismatch) as exc:
                     logger.warning("question %s failed: %s", q.question_id, exc)
                     continue
                 answers[q.question_id] = outcome.answer
-                ask_latencies.append(outcome.latency)
+                ask_latencies.append(time.perf_counter() - start)
                 if outcome.retrieval is not None:
                     trace = outcome.retrieval.trace()
                     trace["question_id"] = q.question_id
@@ -102,13 +122,8 @@ def run_evaluation(
             try:
                 sweep = {}
                 for k in k_sweep:
-                    retrieved = {}
-                    for q in questions:
-                        result, buffer_ids = engine.retrieve(
-                            q.text, k=k, retriever=retriever, depth=depth
-                        )
-                        retrieved[q.question_id] = result.retrieved_turn_ids | set(buffer_ids)
-                    sweep[str(k)] = coverage_rate(questions, retrieved)
+                    covered = {q.question_id: turn_ids(q.text, k) for q in questions}
+                    sweep[str(k)] = coverage_rate(questions, covered)
                 report["coverage"] = sweep
             except Exception as exc:  # noqa: BLE001 - mode isolation
                 logger.warning("coverage section failed: %s", exc)
@@ -147,15 +162,9 @@ def run_evaluation(
                     ]
                 else:
                     instructions = list(constraints)
-                retrieved = {}
-                for inst in instructions:
-                    result, buffer_ids = engine.retrieve(
-                        inst["text"], retriever=retriever, depth=depth
-                    )
-                    retrieved[inst["id"]] = result.retrieved_turn_ids | set(buffer_ids)
                 report["recall"] = constraint_recall(
                     [(inst["id"], inst["constraint_turn_ids"]) for inst in instructions],
-                    retrieved,
+                    {inst["id"]: turn_ids(inst["text"], engine.config.k) for inst in instructions},
                 )
             except Exception as exc:  # noqa: BLE001 - mode isolation
                 logger.warning("recall section failed: %s", exc)

@@ -24,19 +24,24 @@ logger = logging.getLogger(__name__)
 PERCENTILE_GRID = (50, 90, 95, 99)
 
 
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The value at 1-based rank ceil(q/100 * n) of samples already sorted."""
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
 def percentile(samples: Sequence[float], q: float) -> float:
     """Nearest-rank percentile: value at 1-based index ceil(q/100 * n)."""
     if not samples:
         raise EmptySamples("percentile of empty sample set")
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
+    return _nearest_rank(sorted(samples), q)
 
 
 def latency_percentiles(samples: Sequence[float]) -> tuple[float, float, float, float]:
     if not samples:
         raise EmptySamples("no latency samples")
-    return tuple(percentile(samples, q) for q in PERCENTILE_GRID)  # type: ignore[return-value]
+    ordered = sorted(samples)
+    return tuple(_nearest_rank(ordered, q) for q in PERCENTILE_GRID)  # type: ignore[return-value]
 
 
 def compression_rate(full_history_tokens: int, retrieved_tokens: int) -> float:
@@ -50,13 +55,14 @@ def compression_rate(full_history_tokens: int, retrieved_tokens: int) -> float:
 def distribution(values: Sequence[float]) -> dict:
     if not values:
         raise EmptySamples("empty distribution")
+    ordered = sorted(values)
     return {
-        "median": percentile(values, 50),
-        "q1": percentile(values, 25),
-        "q3": percentile(values, 75),
-        "min": min(values),
-        "max": max(values),
-        "n": len(values),
+        "median": _nearest_rank(ordered, 50),
+        "q1": _nearest_rank(ordered, 25),
+        "q3": _nearest_rank(ordered, 75),
+        "min": ordered[0],
+        "max": ordered[-1],
+        "n": len(ordered),
     }
 
 

@@ -27,6 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .episodic import Fragment, MemoryBank, Narrative, Subplot, normalize_label
+from .errors import MalformedInput
 from .formatting import facts_text as _facts_text
 from .formatting import coherence_headlines, story_block, subplot_block, tokenize
 from .parsing import RetrievalChoice, TriplePattern
@@ -63,6 +64,24 @@ class RetrievalResult:
     def retrieved_turn_ids(self) -> set[str]:
         ids = {t for b in self.blocks for t in b.turn_ids}
         return ids
+
+    def top(self, k: int) -> RetrievalResult:
+        """The first k blocks and the first k facts, as a retrieval at k.
+
+        Every retriever here cuts a ranking that does not depend on k, so
+        this is what retrieving the same query at k gives (for coherence,
+        given the same ranking from the reasoner). k may not exceed the
+        result's own k: a shallower retrieval cannot show what lies below.
+        """
+        if not 1 <= k <= self.k:
+            raise MalformedInput(f"top {k} of a retrieval at k={self.k}")
+        return RetrievalResult(
+            query=self.query,
+            retriever=self.retriever,
+            k=k,
+            blocks=self.blocks[:k],
+            facts=self.facts[:k],
+        )
 
     def stories_text(self) -> str:
         return "\n\n".join(b.text for b in self.blocks)
@@ -206,26 +225,18 @@ def retrieve_semantic(
 
 
 def retrieve_coherence(
-    bank: MemoryBank,
-    store: TripleStore,
-    reasoner: Reasoner,
-    question: str,
-    k: int,
-    depth: int | None = None,
+    bank: MemoryBank, store: TripleStore, reasoner: Reasoner, question: str, k: int
 ) -> RetrievalResult:
     """The top k stories the reasoner ranks for the question, plus facts.
 
-    The prompt asks for the top ``depth`` stories (``k`` when not given,
-    never fewer than ``k``) and the ranking is cut to its first k
-    resolved blocks. A caller that retrieves one question at several k
-    passes their largest as the depth, so every k renders the same
-    prompt and a memoized reasoner sends it once; each k then reads a
-    prefix of one ranking. The result and its trace keep k.
+    The prompt asks for the top k stories and the ranking is cut to its
+    first k resolved blocks; the facts are cut to k as well. A caller
+    that reads one question at several k retrieves once at the largest
+    and takes RetrievalResult.top of it for each.
     """
     result = RetrievalResult(query=question, retriever="coherence", k=k)
     if len(bank) > 0:
-        depth = k if depth is None else max(depth, k)
-        choices = reasoner.choose_stories(depth, question, coherence_headlines(bank))
+        choices = reasoner.choose_stories(k, question, coherence_headlines(bank))
         result.blocks = resolve_choices(bank, choices, k)
     result.facts = retrieve_semantic(store, reasoner, question, k)
     return result

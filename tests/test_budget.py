@@ -1,15 +1,19 @@
 """Deterministic budget of the 60-turn scripted replay and its evaluation.
 
-Backend calls per prompt kind and artifact sizes repeat exactly between
-runs, so they are pinned here: a change that moves one of these figures
-must update it and say why in CHANGES.md. Wall-clock fields (latencies)
-and the checkout-dependent transcript path are left out of the sizes.
+Backend calls per prompt kind, artifact sizes and the evaluation's whole
+output repeat exactly between runs, so they are pinned here: a change
+that moves one of these figures must update it and say why in
+CHANGES.md. Wall-clock fields (latencies) and the checkout-dependent
+transcript path are left out of the sizes and the output digests.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
+
+import pytest
 
 from storymem.backends import Backend, ScriptedBackend
 from storymem.engine import EngineConfig, MemoryEngine
@@ -46,6 +50,12 @@ EVAL_PROMPT_TOKENS = 17020
 # the ranking prompts alone, which carry the narrative outline
 EVAL_OUTLINE_PROMPT_TOKENS = 7083
 
+# sha256 of the whole evaluation output per retriever (see evaluation_digest)
+EVAL_DIGESTS = {
+    "coherence": "53bbae93ea873b2b7d476a43e70a2406a27b3a2204d63a7c3db679b17722b412",
+    "embedding": "77f6f7690b9790d488d75af5e90b8fa037c09f254b42cdb6270905c4e267d61b",
+}
+
 
 class Counting(Backend):
     name = "counting"
@@ -78,6 +88,28 @@ def artifact_bytes(path) -> int:
     return path.stat().st_size
 
 
+def evaluation_digest(report: dict, traces: list[dict]) -> str:
+    """sha256 of an evaluation's output: the report without its wall-clock
+    latency section, and the retrieval traces."""
+    kept = {mode: section for mode, section in report.items() if mode != "latency"}
+    blob = json.dumps({"report": kept, "traces": traces}, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def evaluate_b0(paths, transcript, backend, **kwargs):
+    reader = RunReader(paths.root)
+    engine = MemoryEngine(EngineConfig(B=0), backend)
+    engine.restore(
+        transcript,
+        MemoryBank.from_dict(reader.episodic_dict()),
+        TripleStore.from_jsonl(reader.semantic_jsonl()),
+    )
+    try:
+        return run_evaluation(engine, transcript.questions, records=reader.records(), **kwargs)
+    finally:
+        engine.close()
+
+
 def test_replay_calls_per_kind(b0_run):
     _, paths = b0_run
     kinds = Counter(
@@ -94,18 +126,17 @@ def test_replay_artifact_bytes(b0_run):
 
 def test_evaluation_calls_per_kind(b0_run, transcript, script_table):
     _, paths = b0_run
-    reader = RunReader(paths.root)
     backend = Counting(ScriptedBackend(script_table))
-    engine = MemoryEngine(EngineConfig(B=0), backend)
-    engine.restore(
-        transcript,
-        MemoryBank.from_dict(reader.episodic_dict()),
-        TripleStore.from_jsonl(reader.semantic_jsonl()),
-    )
-    try:
-        run_evaluation(engine, transcript.questions, records=reader.records())
-    finally:
-        engine.close()
+    evaluate_b0(paths, transcript, backend)
     assert dict(backend.calls) == EVAL_CALLS
     assert backend.prompt_tokens["coherence_retrieve"] == EVAL_OUTLINE_PROMPT_TOKENS
     assert backend.prompt_tokens.total() == EVAL_PROMPT_TOKENS
+
+
+@pytest.mark.parametrize("retriever", sorted(EVAL_DIGESTS))
+def test_evaluation_output_digest(b0_run, transcript, script_table, retriever):
+    _, paths = b0_run
+    report, traces = evaluate_b0(
+        paths, transcript, ScriptedBackend(script_table), retriever=retriever
+    )
+    assert evaluation_digest(report, traces) == EVAL_DIGESTS[retriever]

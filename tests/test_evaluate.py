@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import Counter
 
 import pytest
 
+from storymem import engine as engine_module
 from storymem.backends import Backend, RuleBackend, ScriptedBackend
 from storymem.engine import EngineConfig, MemoryEngine
 from storymem.episodic import MemoryBank
-from storymem.errors import BackendError, ScriptMiss
+from storymem.errors import BackendError, MalformedInput, ScriptMiss
 from storymem.evaluate import ALL_MODES, DEFAULT_K_SWEEP, run_evaluation
 from storymem.metrics import constraint_recall, coverage_rate
 from storymem.prompts import PromptKind
@@ -331,6 +333,97 @@ def test_evaluation_matches_unmemoized_retrievals(evaluated, b0_run, transcript,
     assert traces == oracle_traces
     assert report["coverage"] == coverage
     assert report["recall"] == recall
+
+
+def test_one_retrieval_per_distinct_question_text(
+    b0_run, transcript, script_table, monkeypatch
+):
+    """The answer, the whole k sweep and recall read one retrieval, and a
+    question asked twice under two ids is retrieved once."""
+    _, paths = b0_run
+    calls = []
+    original = engine_module.retrieve_coherence
+
+    def counting(bank, store, reasoner, question, k, **kwargs):
+        calls.append((question, k))
+        return original(bank, store, reasoner, question, k, **kwargs)
+
+    monkeypatch.setattr(engine_module, "retrieve_coherence", counting)
+    first = transcript.questions[0]
+    twin = dataclasses.replace(first, question_id="twin")
+    questions = [*transcript.questions, twin]
+    engine = restore_engine(paths, transcript, ScriptedBackend(script_table))
+    try:
+        report, traces = run_evaluation(engine, questions)
+    finally:
+        engine.close()
+    texts = [q.text for q in transcript.questions]
+    assert len(set(texts)) == len(texts) == len(traces) - 1  # every one on the memory path
+    assert calls == [(text, max(DEFAULT_K_SWEEP)) for text in texts]
+    [a, b] = [t for t in traces if t["question_id"] in (first.question_id, "twin")]
+    assert {**a, "question_id": "twin"} == b
+    for k in DEFAULT_K_SWEEP:
+        covered = report["coverage"][str(k)]["covered"]
+        assert covered["twin"] == covered[first.question_id]
+    per = report["recall"]["per_instruction"]
+    assert per["twin"] == per[first.question_id]
+
+
+def test_full_context_answers_retrieve_nothing(b0_run, transcript):
+    """With the whole 60-turn history under the switch threshold, a
+    jscore-only evaluation answers from the full history and sends no
+    ranking and no translation, although the bank is not empty."""
+    _, paths = b0_run
+    reader = RunReader(paths.root)
+    backend = Capturing(RuleBackend())
+    engine = MemoryEngine(EngineConfig(T=100, B=0), backend)
+    engine.restore(
+        transcript,
+        MemoryBank.from_dict(reader.episodic_dict()),
+        TripleStore.from_jsonl(reader.semantic_jsonl()),
+    )
+    try:
+        assert len(engine.bank) > 0 and not engine.answers_from_memory
+        report, traces = run_evaluation(engine, transcript.questions, modes=("jscore",))
+    finally:
+        engine.close()
+    assert traces == []
+    assert len(report["answers"]) == len(transcript.questions)
+    kinds = Counter(kind for kind, _ in backend.sent)
+    assert set(kinds) == {PromptKind.ANSWER, PromptKind.JUDGE}
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_refused(b0_run, transcript, k):
+    """A retrieval at k < 1 used to ask for "the top 0 stories" and return
+    every block the ranking named; an evaluation then reported full
+    coverage at k = 0."""
+    _, paths = b0_run
+    backend = Capturing(RuleBackend())
+    engine = restore_engine(paths, transcript, backend)
+    try:
+        with pytest.raises(MalformedInput):
+            engine.retrieve(transcript.questions[0].text, k=k)
+        with pytest.raises(MalformedInput):
+            run_evaluation(engine, transcript.questions, k_sweep=(k, 1))
+    finally:
+        engine.close()
+    assert backend.sent == []
+
+
+def test_ask_reads_the_top_k_of_a_ready_retrieval(b0_run, transcript, script_table):
+    _, paths = b0_run
+    first, second = transcript.questions[:2]
+    engine = restore_engine(paths, transcript, ScriptedBackend(script_table))
+    try:
+        deep, _ = engine.retrieve(first.text, k=max(DEFAULT_K_SWEEP))
+        outcome = engine.ask(first.text, retrieval=deep)
+        assert outcome.retrieval == deep.top(engine.config.k)
+        assert outcome.answer == engine.ask(first.text).answer
+        with pytest.raises(MalformedInput):
+            engine.ask(second.text, retrieval=deep)
+    finally:
+        engine.close()
 
 
 def _reaches_backend(engine, backend, question) -> bool:

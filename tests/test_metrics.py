@@ -68,6 +68,27 @@ def test_latency_percentile_grid():
     assert latency_percentiles(ten) == (5.0, 9.0, 10.0, 10.0)
 
 
+samples = st.lists(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples)
+def test_sorted_once_summaries_match_percentile(values):
+    """latency_percentiles and distribution sort once and index the ranks;
+    percentile, which sorts for each call, is the oracle."""
+    assert latency_percentiles(values) == tuple(percentile(values, q) for q in (50, 90, 95, 99))
+    assert distribution(values) == {
+        "median": percentile(values, 50),
+        "q1": percentile(values, 25),
+        "q3": percentile(values, 75),
+        "min": min(values),
+        "max": max(values),
+        "n": len(values),
+    }
+
+
 # --- compression ------------------------------------------------------------------
 
 

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storymem.backends import Backend, RuleBackend, _section
+from storymem.engine import EngineConfig, MemoryEngine
 from storymem.episodic import Fragment, MemoryBank, normalize_label
+from storymem.errors import MalformedInput
 from storymem.formatting import _build_coherence_headlines, coherence_headlines, content_tokens
 from storymem.parsing import RetrievalChoice, to_canonical
 from storymem.prompts import PromptKind
@@ -221,7 +223,7 @@ def test_coherence_empty_bank_skips_choice_prompt():
     assert backend.calls == [PromptKind.GRAPH_QUERY_TRANSLATE]
 
 
-def test_coherence_asks_for_the_depth_and_keeps_k():
+def test_top_of_a_deeper_coherence_retrieval_keeps_its_own_k():
     prompts = []
 
     class Recording(CannedBackend):
@@ -235,17 +237,22 @@ def test_coherence_asks_for_the_depth_and_keeps_k():
                 "[{'owner': 'Ava', 'topic': 'The garden project'},"
                 " {'owner': 'Ben', 'topic': 'The chess club'}]"
             ),
-            PromptKind.GRAPH_QUERY_TRANSLATE: "[]",
+            PromptKind.GRAPH_QUERY_TRANSLATE: '[{"subject": "Ava", "predicate": "?", "object": "?"}]',
         }
     )
-    reasoner = Reasoner(backend)
-    result = retrieve_coherence(demo_bank(), TripleStore(), reasoner, "garden?", k=1, depth=6)
+    deep = retrieve_coherence(demo_bank(), seeded_store(), Reasoner(backend), "garden?", k=6)
     assert "select the top 6 stories" in prompts[0]
+    assert len(deep.blocks) == 2 and len(deep.facts) == 2
+    result = deep.top(1)
     assert [b.topic for b in result.blocks] == ["The garden project"]
+    assert [f.obj for f in result.facts] == ["a kiln"]
     assert result.k == 1 and result.trace()["k"] == 1
-    # a depth below k still asks for k
-    retrieve_coherence(demo_bank(), TripleStore(), reasoner, "garden?", k=2, depth=1)
-    assert "select the top 2 stories" in prompts[1]
+    assert (result.query, result.retriever) == (deep.query, deep.retriever)
+    assert deep.top(6) == deep
+    # the top of a retrieval never reaches below its own k, nor to nothing
+    for k in (0, 7):
+        with pytest.raises(MalformedInput):
+            deep.top(k)
 
 
 def test_coherence_resolves_choices_and_facts():
@@ -455,6 +462,49 @@ def test_resolving_at_a_depth_then_cutting_equals_resolving_at_k(ops, choices, k
     duplicate choices included."""
     bank = build_bank(ops)
     assert resolve_choices(bank, choices, k) == resolve_choices(bank, choices, k + extra)[:k]
+
+
+fact_lists = st.lists(
+    st.builds(
+        TripleFact,
+        subject=st.sampled_from(["Ava", "Ben", "Ava Stone"]),
+        predicate=st.sampled_from(["has", "likes"]),
+        obj=st.sampled_from(["a kiln", "the garden", "Ben", "tea"]),
+    ),
+    max_size=10,
+)
+TOP_QUESTION_WORDS = ["Ava", "Ben", "Stone", "garden", "kiln", "shared", "planting", "day"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    bank_ops,
+    fact_lists,
+    st.lists(st.sampled_from(TOP_QUESTION_WORDS), min_size=1, max_size=4),
+    st.integers(1, 6),
+    st.integers(0, 6),
+)
+def test_top_of_a_deeper_retrieval_is_the_retrieval_at_k(ops, facts, words, k, extra):
+    """Why an evaluation retrieves each question once: for both retrievers,
+    the top k of a retrieval at depth d >= k is the retrieval at k, blocks,
+    facts and trace alike (the rule backend's top-k ranking is a prefix of
+    its deeper ones). The top of a retrieval never reaches below its k."""
+    engine = MemoryEngine(EngineConfig(B=0), RuleBackend())
+    engine.bank = build_bank(ops)
+    for fact in facts:
+        engine.store.add(fact)
+    question = "so " + " ".join(words) + "?"
+    depth = k + extra
+    try:
+        for retriever in ("coherence", "embedding"):
+            deep, _ = engine.retrieve(question, k=depth, retriever=retriever)
+            shallow, _ = engine.retrieve(question, k=k, retriever=retriever)
+            assert deep.top(k) == shallow
+            assert deep.top(k).trace() == shallow.trace()
+            with pytest.raises(MalformedInput):
+                deep.top(depth + 1)
+    finally:
+        engine.close()
 
 
 @settings(max_examples=60, deadline=None)
