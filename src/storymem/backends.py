@@ -221,8 +221,10 @@ class LiveBackend(Backend):
 # --- deterministic heuristic backend ---------------------------------------------
 
 _TURN_LINE = re.compile(r"^\[(?P<ts>[^\]]*)\] (?P<speaker>[^:]+): (?P<text>.*)$")
-_HEADLINE_LINE = re.compile(r"^- owner: (?P<owner>.*?) \| topic: (?P<topic>.*)$")
-_SUBSTORY_LINE = re.compile(r"^- sub-story: (?P<headline>.*)$")
+# a story line of the binding list and the retrieval outline: the owner
+# ends at the first ": ", as a speaker's name does in a turn line
+_PLOT_LINE = re.compile(r"^- (?P<owner>.*?): (?P<topic>.*)$")
+_SUBSTORY_LINE = re.compile(r"^  - (?P<headline>.*)$")
 _ITEM_LINE = re.compile(r"^\d+\. \[(?P<ts>[^\]]*)\] (?P<text>.*)$")
 _TOPIC_MARKER = re.compile(r"(?:update on|about|regarding)\s+([^:.,!?]+)", re.IGNORECASE)
 _SPEAKER_PREFIX = re.compile(r"^[^:]{1,40}: ")
@@ -299,7 +301,7 @@ class RuleBackend(Backend):
         existing_text = _section(rendered, "Existing stories:", "Recent dialogue context:")
         existing = set()
         for line in existing_text.splitlines():
-            m = _HEADLINE_LINE.match(line.strip())
+            m = _PLOT_LINE.match(line)
             if m:
                 existing.add((m.group("owner").casefold(), m.group("topic").casefold()))
         new_conv = _section(rendered, "New conversation turn:", "Output format:")
@@ -359,10 +361,9 @@ class RuleBackend(Backend):
         stories_text = _section(rendered, "Stories:", "Output format:")
         qtokens = content_tokens(question)
         scored = []
-        owner = None  # of the plot line above; sub-story lines inherit it
+        owner = None  # of the plot line above; indented sub-story lines inherit it
         for idx, line in enumerate(stories_text.splitlines()):
-            line = line.strip()
-            if hm := _HEADLINE_LINE.match(line):
+            if hm := _PLOT_LINE.match(line):
                 owner, topic, bonus = hm.group("owner"), hm.group("topic"), 0.0
             elif (sm := _SUBSTORY_LINE.match(line)) and owner is not None:
                 topic, bonus = sm.group("headline"), 0.25

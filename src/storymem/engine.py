@@ -266,7 +266,8 @@ class MemoryEngine:
         iteration = self._iteration
         self._remember(turn)
         h_len = len(self._history)
-        context = self._history[:-1][-self.config.binding_context_turns:]
+        # up to binding_context_turns turns before this one, copying only those
+        context = self._history[max(0, h_len - 1 - self.config.binding_context_turns) : -1]
         path = "full_context" if h_len <= self.config.switch_threshold else "memory"
         record = IterationRecord(iteration=iteration, path=path)
         with self._log_lock:

@@ -51,23 +51,31 @@ def format_numbered_items(fragments: Sequence[Fragment]) -> str:
     return "\n".join(f"{i}. {format_fragment(f)}" for i, f in enumerate(fragments))
 
 
+def _plot_line(narrative: Narrative) -> str:
+    """One story as one line: ``- <owner>: <topic>``."""
+    return f"- {narrative.owner}: {narrative.topic}"
+
+
 def binding_headlines(bank: MemoryBank) -> str:
-    lines = [f"- owner: {n.owner} | topic: {n.topic}" for n in bank.narratives()]
+    """The bank's stories, one plot line each, for the binding prompt."""
+    lines = [_plot_line(n) for n in bank.narratives()]
     return "\n".join(lines) if lines else "(none)"
 
 
 def coherence_headlines(bank: MemoryBank) -> str:
     """The outline of plot headlines, each followed by its subplots.
 
-    A plot line reads ``- owner: X | topic: Y``; each of its subplots
-    follows, in bank order, as an indented ``  - sub-story: <headline>``
-    line whose owner and parent are the plot line above it:
+    A plot line reads ``- <owner>: <topic>``; each of its subplots
+    follows, in bank order, as an indented ``  - <headline>`` line whose
+    owner and parent are the plot line above it:
 
-        - owner: Ava | topic: The kitchen renovation
-          - sub-story: Ava picked the tiles
+        - Ava: The kitchen renovation
+          - Ava picked the tiles
 
     A choice names a sub-story by the plot's owner and the sub-story's
-    headline. The outline is built once for each state of the bank
+    headline. A reader takes the owner up to the first ``": "``, so an
+    owner that holds ``": "`` is ambiguous, as it already is in every
+    turn line. The outline is built once for each state of the bank
     (MemoryBank.derived).
     """
     return bank.derived("coherence_headlines", _build_coherence_headlines)
@@ -76,8 +84,8 @@ def coherence_headlines(bank: MemoryBank) -> str:
 def _build_coherence_headlines(bank: MemoryBank) -> str:
     lines: list[str] = []
     for n in bank.narratives():
-        lines.append(f"- owner: {n.owner} | topic: {n.topic}")
-        lines += [f"  - sub-story: {s.headline}" for s in n.subplots]
+        lines.append(_plot_line(n))
+        lines += [f"  - {s.headline}" for s in n.subplots]
     return "\n".join(lines) if lines else "(none)"
 
 

@@ -112,7 +112,7 @@ def test_rule_binding_extends_known_topics():
     rendered = render_prompt(
         PromptKind.MEMORY_BINDING,
         {
-            "headlines": "- owner: Ava | topic: The garden project",
+            "headlines": "- Ava: The garden project",
             "recent_context": "(none)",
             "new_conv": (
                 "[2023-05-01 09:09] Ava: More about the garden project: weeded today.\n"

@@ -1,7 +1,7 @@
 """Deterministic budget of the 60-turn scripted replay and its evaluation.
 
-Backend calls per prompt kind, artifact sizes and the evaluation's whole
-output repeat exactly between runs, so they are pinned here: a change
+Backend calls and prompt tokens per prompt kind, artifact sizes and the
+evaluation's whole output repeat exactly between runs, so they are pinned here: a change
 that moves one of these figures must update it and say why in
 CHANGES.md. Wall-clock fields (latencies) and the checkout-dependent
 transcript path are left out of the sizes and the output digests.
@@ -30,11 +30,20 @@ REPLAY_CALLS = {
     "semanticization": 18,
 }
 
+# whitespace tokens of the prompts each kind sends; the binding prompts
+# carry the bank's story list
+REPLAY_PROMPT_TOKENS = {
+    "story_init": 871,
+    "memory_binding": 17346,
+    "consolidation": 5039,
+    "semanticization": 4139,
+}
+
 REPLAY_BYTES = {
     "bank_log.jsonl": 31821,
     "config.json": 387,
     "episodic.json": 32629,
-    "exchanges.jsonl": 213318,
+    "exchanges.jsonl": 205008,
     "records.jsonl": 11771,
     "semantic.jsonl": 3244,
 }
@@ -46,9 +55,9 @@ EVAL_CALLS = {
     "answer": 13,
     "judge": 13,
 }
-EVAL_PROMPT_TOKENS = 17020
+EVAL_PROMPT_TOKENS = 15772
 # the ranking prompts alone, which carry the narrative outline
-EVAL_OUTLINE_PROMPT_TOKENS = 7083
+EVAL_OUTLINE_PROMPT_TOKENS = 5835
 
 # sha256 of the whole evaluation output per retriever (see evaluation_digest)
 EVAL_DIGESTS = {
@@ -116,6 +125,15 @@ def test_replay_calls_per_kind(b0_run):
         json.loads(line)["kind"] for line in paths.exchanges.read_text().splitlines()
     )
     assert dict(kinds) == REPLAY_CALLS
+
+
+def test_replay_prompt_tokens_per_kind(b0_run):
+    _, paths = b0_run
+    tokens: Counter[str] = Counter()
+    for line in paths.exchanges.read_text().splitlines():
+        exchange = json.loads(line)
+        tokens[exchange["kind"]] += count_tokens(exchange["prompt"])
+    assert dict(tokens) == REPLAY_PROMPT_TOKENS
 
 
 def test_replay_artifact_bytes(b0_run):

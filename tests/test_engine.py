@@ -9,7 +9,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from storymem.backends import Backend, RuleBackend, ScriptedBackend
+from storymem.backends import Backend, RuleBackend, ScriptedBackend, _section
 from storymem.engine import EngineConfig, MemoryEngine, run_replay
 from storymem.episodic import MemoryBank
 from storymem.errors import MalformedInput, ReplayAborted
@@ -162,6 +162,24 @@ def test_offline_work_is_independent_of_buffer(b0_run, b4_run):
     assert len(seq0) == 77
     assert b0_run[0].bank.to_dict() == b4_run[0].bank.to_dict()
     assert b0_run[0].store.to_jsonl() == b4_run[0].store.to_jsonl()
+
+
+def test_binding_context_is_the_turns_just_before():
+    turns = tiny_transcript(8).turns
+    engine = MemoryEngine(EngineConfig(T=1, B=0, binding_context_turns=3), RuleBackend())
+    try:
+        for turn in turns:
+            engine.step(turn)
+            assert engine.drain() == []
+    finally:
+        engine.close()
+    contexts = [
+        _section(e["prompt"], "Recent dialogue context:", "New conversation turn:")
+        for e in engine.exchanges()
+        if e["kind"] == "memory_binding"
+    ]
+    # every turn after the first T is bound, the one that crosses T included
+    assert contexts == [format_history(turns[max(0, i - 3) : i]) for i in range(1, 8)]
 
 
 def test_run_artifacts_on_disk(b0_run, transcript):

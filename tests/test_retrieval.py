@@ -394,22 +394,27 @@ OWNERS = ["Ava", "ava ", "Ben", "Nobody"]
 TOPICS = ["Garden", "garden", "Kiln  day", "Shared"]
 HEADLINES = ["Shared", "shared ", "Planting"]
 
-bank_ops = st.lists(
-    st.one_of(
-        # two new fragments, then subplots over them (out-of-range ends clip,
-        # empty intervals drop)
-        st.tuples(
-            st.just("grow"), st.sampled_from(OWNERS[:3]), st.sampled_from(TOPICS),
-            st.lists(
-                st.tuples(st.sampled_from(HEADLINES), st.integers(0, 1), st.integers(0, 2)),
-                max_size=2,
+
+def bank_ops_over(topics: list[str], headlines: list[str]):
+    return st.lists(
+        st.one_of(
+            # two new fragments, then subplots over them (out-of-range ends
+            # clip, empty intervals drop)
+            st.tuples(
+                st.just("grow"), st.sampled_from(OWNERS[:3]), st.sampled_from(topics),
+                st.lists(
+                    st.tuples(st.sampled_from(headlines), st.integers(0, 1), st.integers(0, 2)),
+                    max_size=2,
+                ),
             ),
+            st.tuples(st.just("rename"), st.integers(0, 20), st.sampled_from(topics + ["Later"])),
         ),
-        st.tuples(st.just("rename"), st.integers(0, 20), st.sampled_from(TOPICS + ["Later"])),
-    ),
-    min_size=4,
-    max_size=16,
-)
+        min_size=4,
+        max_size=16,
+    )
+
+
+bank_ops = bank_ops_over(TOPICS, HEADLINES)
 choice_lists = st.lists(
     st.builds(
         RetrievalChoice,
@@ -582,15 +587,16 @@ class FlatRuleBackend(RuleBackend):
 
 
 def read_outline(outline: str) -> list[tuple[str, str, str]]:
-    """(kind, owner, headline) per line, the owner of a sub-story line
-    taken from the plot line above it."""
+    """(kind, owner, headline) per line: a plot line ``- <owner>: <topic>``
+    with the owner up to the first ``": "``, or an indented sub-story line
+    ``  - <headline>`` whose owner is that of the plot line above it."""
     rows, owner = [], None
     for line in outline.splitlines():
-        if m := re.fullmatch(r"- owner: (.*?) \| topic: (.*)", line):
+        if m := re.fullmatch(r"- (.*?): (.*)", line):
             owner = m.group(1)
             rows.append(("plot", owner, m.group(2)))
         else:
-            m = re.fullmatch(r"  - sub-story: (.*)", line)
+            m = re.fullmatch(r"  - (.*)", line)
             assert m and owner is not None, line
             rows.append(("subplot", owner, m.group(1)))
     return rows
@@ -614,8 +620,13 @@ def scan_block(bank: MemoryBank, owner: str, headline: str):
 QUESTION_WORDS = ["ava", "ben", "garden", "kiln", "day", "shared", "planting", "later", "why"]
 
 
+# labels shaped like the outline's own lines: a topic that holds ": " and a
+# sub-story headline that reads as a plot line
+line_shaped_bank_ops = bank_ops_over(TOPICS + ["Kiln: day two"], HEADLINES + ["Ava: Shared"])
+
+
 @settings(max_examples=200, deadline=None)
-@given(bank_ops, st.lists(st.sampled_from(QUESTION_WORDS), min_size=1, max_size=4))
+@given(line_shaped_bank_ops, st.lists(st.sampled_from(QUESTION_WORDS), min_size=1, max_size=4))
 def test_nested_outline_keeps_every_headline_and_every_choice(ops, words):
     bank = build_bank(ops)
     outline = coherence_headlines(bank)
@@ -648,9 +659,9 @@ def test_nested_outline_keeps_every_headline_and_every_choice(ops, words):
         assert nested.choose_stories(k, question, outline) == flat.choose_stories(
             k, question, flat_outline(bank)
         )
-        # a sub-story line with no plot above it is skipped, even when it
-        # matches the question best
-        orphan = f"  - sub-story: {question}\n{outline}"
-        assert nested.choose_stories(k, question, orphan) == nested.choose_stories(
-            k, question, outline
-        )
+        # an indented line with no plot above it is skipped, even when it
+        # matches the question best or reads as a plot line
+        for orphan in (f"  - {question}", f"  - Ava: {question}"):
+            assert nested.choose_stories(
+                k, question, f"{orphan}\n{outline}"
+            ) == nested.choose_stories(k, question, outline)
