@@ -13,7 +13,10 @@ lapsed and distills their durable facts into the triple store.
 
 run_replay drives a whole transcript through the engine, draining the
 worker after every turn so scripted runs are reproducible byte for byte,
-and appends that turn's bank changes to the run's bank log.
+and appends that turn's bank changes to the run's bank log. Only the
+replay records the prompts and completions it causes, for the run's
+exchange log; the engine itself keeps no exchange, so a query, an
+evaluation or a live conversation holds none.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import re
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
 
@@ -46,7 +49,7 @@ from .formatting import (
 )
 from .parsing import BindingDecision, InitStory
 from .prompts import PromptKind, prompt_digest
-from .reasoner import ExchangeObserver, Reasoner
+from .reasoner import Reasoner
 from .retrieval import (
     HashedBagEmbedding,
     RetrievalResult,
@@ -96,21 +99,11 @@ class EngineConfig:
         return (m.group(1), 0)
 
     def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "k": self.k,
-            "N": self.N,
-            "B": self.B,
-            "consolidation_policy": self.consolidation_policy,
-            "binding_context_turns": self.binding_context_turns,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> EngineConfig:
-        known = {f: data[f] for f in (
-            "T", "k", "N", "B", "consolidation_policy", "binding_context_turns"
-        ) if f in data}
-        return cls(**known)
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 @dataclass
@@ -162,33 +155,6 @@ class AskOutcome:
         return ids
 
 
-def _exchange_observer(
-    exchanges: list[dict], lock: threading.Lock, local: threading.local
-) -> ExchangeObserver:
-    """The Reasoner observer that fills the engine's exchange log.
-
-    It closes over the engine's log, lock and thread-local rather than
-    the engine itself: a bound method would put the engine in a
-    reference cycle with its Reasoner, and a dropped engine would then
-    wait for the cyclic garbage collector.
-    """
-
-    def observe(kind: PromptKind, rendered: str, raw: str) -> None:
-        ctx = getattr(local, "ctx", (0, "online"))
-        entry = {
-            "iteration": ctx[0],
-            "phase": ctx[1],
-            "kind": kind.value,
-            "digest": prompt_digest(rendered),
-            "prompt": rendered,
-            "response": raw,
-        }
-        with lock:
-            exchanges.append(entry)
-
-    return observe
-
-
 class MemoryEngine:
     def __init__(self, config: EngineConfig, backend: Backend) -> None:
         self.config = config
@@ -203,19 +169,12 @@ class MemoryEngine:
         self._iteration = 0
         self._mem_init_done = False
         self._records: list[IterationRecord] = []
-        self._exchanges: list[dict] = []
         self._log_lock = threading.Lock()
-        self._local = threading.local()
-        self.reasoner = Reasoner(
-            backend, observer=_exchange_observer(self._exchanges, self._log_lock, self._local)
-        )
+        self.reasoner = Reasoner(backend)
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="offline")
         self._pending: list[Future] = []
 
     # --- plumbing ----------------------------------------------------------------
-
-    def _set_phase(self, iteration: int, phase: str) -> None:
-        self._local.ctx = (iteration, phase)
 
     def _remember(self, turn: Turn) -> None:
         self._history.append(turn)
@@ -234,10 +193,6 @@ class MemoryEngine:
     def records(self) -> list[IterationRecord]:
         with self._log_lock:
             return list(self._records)
-
-    def exchanges(self) -> list[dict]:
-        with self._log_lock:
-            return list(self._exchanges)
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)
@@ -276,7 +231,6 @@ class MemoryEngine:
         response: str | None = None
         response_turn: Turn | None = None
         if generate:
-            self._set_phase(iteration, "online")
             try:
                 if path == "full_context":
                     response = self.reasoner.answer(
@@ -337,7 +291,6 @@ class MemoryEngine:
         k = self.config.k if k is None else k
         if k < 1:
             raise MalformedInput(f"k must be positive, got {k}")
-        self._set_phase(self._iteration, "eval")
         result = self._retrieve(question, retriever, provider, k)
         return result, tuple(t.turn_id for t in self._buffer())
 
@@ -372,7 +325,6 @@ class MemoryEngine:
         its top k; otherwise ask retrieves with ``retriever``. A question
         answered from the full history retrieves nothing.
         """
-        self._set_phase(self._iteration, "eval")
         full_tokens = self._history_tokens
         if not self.answers_from_memory:
             full_stories = format_history(self._history)
@@ -420,7 +372,6 @@ class MemoryEngine:
         init_turns: list[Turn] | None,
     ) -> None:
         start = time.perf_counter()
-        self._set_phase(record.iteration, "offline")
         try:
             if init_turns is not None and not self._mem_init_done:
                 self._mem_init(record, init_turns)
@@ -598,22 +549,44 @@ def run_replay(
     The offline worker is drained after every turn: artifacts come out
     identical on every run with a scripted backend. Backend failures
     abort after flushing what exists.
+
+    While the turns replay, the engine's Reasoner observer collects each
+    exchange for exchanges.jsonl. Replay steps without generating and
+    drains after each turn, so every call is the offline tick of the
+    turn just stepped. The observer is cleared when the turns end, an
+    abort included, so later calls on the engine record nothing.
     """
     config = dict(engine.describe())
     config["transcript"] = runio.transcript_stamp(transcript, transcript_path)
+    exchanges: list[dict] = []
+
+    def observe(kind: PromptKind, rendered: str, raw: str) -> None:
+        exchanges.append({
+            "iteration": engine.iteration,
+            "phase": "offline",
+            "kind": kind.value,
+            "digest": prompt_digest(rendered),
+            "prompt": rendered,
+            "response": raw,
+        })
+
     aborted: Exception | None = None
     with runio.RunWriter(out_dir) as writer:
         writer.write_config(config)
-        for turn in replay(transcript):
-            engine.step(turn, generate=False)
-            failures = engine.drain()
-            if failures:
-                aborted = failures[0]
-                break
-            writer.write_snapshot(engine.iteration, engine.bank.drain_events())
+        engine.reasoner.observer = observe
+        try:
+            for turn in replay(transcript):
+                engine.step(turn, generate=False)
+                failures = engine.drain()
+                if failures:
+                    aborted = failures[0]
+                    break
+                writer.write_snapshot(engine.iteration, engine.bank.drain_events())
+        finally:
+            engine.reasoner.observer = None
 
         writer.write_records([r.to_dict() for r in engine.records()])
-        writer.write_exchanges(engine.exchanges())
+        writer.write_exchanges(exchanges)
         writer.write_final(engine.bank.to_dict(), engine.store.to_jsonl())
     if aborted is not None:
         raise ReplayAborted(

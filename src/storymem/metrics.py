@@ -11,6 +11,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .episodic import MemoryBank, Narrative
@@ -289,6 +290,4 @@ def render_report_table(report: dict) -> str:
 
 
 def write_report(report: dict, path) -> None:
-    from pathlib import Path
-
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

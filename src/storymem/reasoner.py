@@ -1,24 +1,17 @@
 """Typed operations over a completion backend.
 
 One Reasoner wraps one backend. Each operation renders its template,
-invokes the backend, reports the exchange to an optional observer (the
-engine uses this to write the audit log), and parses the completion
-into a typed verdict. Parse failures surface as typed errors; nothing
-is fabricated on the model's behalf.
-
-Inside a memoized() scope, a (kind, rendered prompt) pair already sent
-from the same thread is answered from the scope's table instead of the
-backend. A hit sends nothing, so the observer does not see it. The
-table belongs to the thread that opened the scope and is dropped when
-the scope exits.
+sends it to the backend, reports the exchange to the observer when one
+is set (run_replay sets one to write the run's exchange log), and
+parses the completion into a typed verdict. Parse failures surface as
+typed errors; nothing is fabricated on the model's behalf. Every
+operation reaches the backend: nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 from .backends import Backend
 from .parsing import (
@@ -44,35 +37,16 @@ ExchangeObserver = Callable[[PromptKind, str, str], None]
 
 
 class Reasoner:
-    def __init__(self, backend: Backend, observer: ExchangeObserver | None = None) -> None:
+    def __init__(self, backend: Backend) -> None:
         self.backend = backend
-        self._observer = observer
-        self._local = threading.local()
-
-    @contextmanager
-    def memoized(self) -> Iterator[None]:
-        """Send each distinct prompt at most once from this thread until exit.
-
-        The key is the whole rendered prompt, so a changed input is a new
-        key. A scope opened inside another shares the outer table.
-        """
-        outer = getattr(self._local, "memo", None)
-        self._local.memo = {} if outer is None else outer
-        try:
-            yield
-        finally:
-            self._local.memo = outer
+        # called with each (kind, rendered prompt, completion) sent
+        self.observer: ExchangeObserver | None = None
 
     def _run(self, kind: PromptKind, inputs: dict):
         rendered = render_prompt(kind, inputs)
-        memo = getattr(self._local, "memo", None)
-        raw = None if memo is None else memo.get((kind, rendered))
-        if raw is None:
-            raw = self.backend.complete(kind, rendered)
-            if memo is not None:
-                memo[(kind, rendered)] = raw
-            if self._observer is not None:
-                self._observer(kind, rendered, raw)
+        raw = self.backend.complete(kind, rendered)
+        if self.observer is not None:
+            self.observer(kind, rendered, raw)
         return parse_structured(kind, raw)
 
     def init_stories(self, conv: str) -> list[InitStory]:

@@ -7,7 +7,7 @@ A run directory is the durable artifact of one replay:
     bank_log.jsonl    - one line per clean iteration: the bank changes it made
     episodic.json     - final narrative bank
     semantic.jsonl    - final triple store
-    exchanges.jsonl   - every prompt/completion, for audit
+    exchanges.jsonl   - every prompt/completion of the replay, for audit
 
 Each bank-log line is {"iteration": i, "events": [...]}, with the events
 of MemoryBank.drain_events(); folding the lines up to iteration i over
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorruptSnapshot, MissingBank, MissingBankLog
-from .transcript import Transcript
+from .transcript import Transcript, transcript_to_json
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,6 @@ def _write_lines(path: Path, rows: Iterable[dict]) -> None:
 
 def transcript_stamp(transcript: Transcript, path: str | Path | None) -> dict:
     """Identity block for config.json: which conversation this run saw."""
-    from .transcript import transcript_to_json
-
     canonical = transcript_to_json(transcript)
     return {
         "path": str(path) if path else None,

@@ -12,7 +12,7 @@ import pytest
 from storymem.backends import Backend, RuleBackend, ScriptedBackend, _section
 from storymem.engine import EngineConfig, MemoryEngine, run_replay
 from storymem.episodic import MemoryBank
-from storymem.errors import MalformedInput, ReplayAborted
+from storymem.errors import BackendUnavailable, MalformedInput, ReplayAborted
 from storymem.prompts import PromptKind
 from storymem.semantic import TripleStore
 from storymem.formatting import format_history
@@ -147,15 +147,19 @@ def test_reactivation_is_reported(b0_run):
     assert len(events) == 26
 
 
+def read_exchanges(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def test_offline_work_is_independent_of_buffer(b0_run, b4_run):
     seq0 = [
         (e["kind"], e["digest"])
-        for e in b0_run[0].exchanges()
+        for e in read_exchanges(b0_run[1].exchanges)
         if e["kind"] in OFFLINE_KINDS
     ]
     seq4 = [
         (e["kind"], e["digest"])
-        for e in b4_run[0].exchanges()
+        for e in read_exchanges(b4_run[1].exchanges)
         if e["kind"] in OFFLINE_KINDS
     ]
     assert seq0 == seq4
@@ -167,17 +171,21 @@ def test_offline_work_is_independent_of_buffer(b0_run, b4_run):
 def test_binding_context_is_the_turns_just_before():
     turns = tiny_transcript(8).turns
     engine = MemoryEngine(EngineConfig(T=1, B=0, binding_context_turns=3), RuleBackend())
+    contexts = []
+
+    def observe(kind, rendered, raw):
+        if kind is PromptKind.MEMORY_BINDING:
+            contexts.append(
+                _section(rendered, "Recent dialogue context:", "New conversation turn:")
+            )
+
+    engine.reasoner.observer = observe
     try:
         for turn in turns:
             engine.step(turn)
             assert engine.drain() == []
     finally:
         engine.close()
-    contexts = [
-        _section(e["prompt"], "Recent dialogue context:", "New conversation turn:")
-        for e in engine.exchanges()
-        if e["kind"] == "memory_binding"
-    ]
     # every turn after the first T is bound, the one that crosses T included
     assert contexts == [format_history(turns[max(0, i - 3) : i]) for i in range(1, 8)]
 
@@ -377,6 +385,11 @@ def test_script_miss_aborts_and_flushes(tmp_path, transcript, script_table):
     assert len(records) == 21
     # the log holds the clean turns and was flushed and closed on abort
     assert len((out / "bank_log.jsonl").read_text().splitlines()) == 20
+    # the init reached the backend; the binding that missed did not
+    exchanges = read_exchanges(out / "exchanges.jsonl")
+    assert [(e["kind"], e["iteration"], e["phase"]) for e in exchanges] == [
+        ("story_init", 21, "offline")
+    ]
 
 
 class CorruptOneKind(Backend):
@@ -394,6 +407,48 @@ class CorruptOneKind(Backend):
             self.tripped = True
             return "sorry, I cannot help with that"
         return self.inner.complete(kind, rendered)
+
+
+class FailOneKind(CorruptOneKind):
+    """Like CorruptOneKind, but the first call of the kind raises instead."""
+
+    def complete(self, kind: PromptKind, rendered: str) -> str:
+        if kind is self.kind and not self.tripped:
+            self.tripped = True
+            raise BackendUnavailable("backend went away")
+        return self.inner.complete(kind, rendered)
+
+
+@pytest.mark.parametrize("ending", ["returns", "aborts", "raises"])
+def test_replay_stops_recording_when_it_ends(tmp_path, transcript, ending):
+    backend = FailOneKind(PromptKind.CONSOLIDATION) if ending == "aborts" else RuleBackend()
+    engine = MemoryEngine(EngineConfig(B=0), backend)
+    if ending == "raises":
+        step = engine.step
+
+        def step_until_30(turn, generate=False):
+            if engine.iteration == 30:
+                raise RuntimeError("interrupted")
+            return step(turn, generate)
+
+        engine.step = step_until_30
+    out = tmp_path / "run"
+    try:
+        if ending == "returns":
+            run_replay(engine, transcript, out)
+        else:
+            with pytest.raises(ReplayAborted if ending == "aborts" else RuntimeError):
+                run_replay(engine, transcript, out)
+        assert engine.reasoner.observer is None
+        log = out / "exchanges.jsonl"
+        # the replay's own calls were logged, unless it raised before writing
+        assert log.exists() == (ending != "raises")
+        logged = log.read_bytes() if log.exists() else None
+        assert engine.ask(transcript.questions[0].text).path == "memory"
+        assert engine.drain() == []
+        assert (log.read_bytes() if log.exists() else None) == logged
+    finally:
+        engine.close()
 
 
 def test_unparseable_offline_reply_degrades_without_aborting(tmp_path):

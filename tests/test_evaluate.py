@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import threading
 from collections import Counter
 
 import pytest
@@ -275,8 +274,6 @@ def test_evaluation_sends_no_prompt_twice(b0_run, transcript, script_table):
     rankings = [r for kind, r in backend.sent if kind is PromptKind.COHERENCE_RETRIEVE]
     assert len(rankings) == len(traces)
     assert all(f"select the top {max(DEFAULT_K_SWEEP)} stories" in r for r in rankings)
-    # exchanges log only what reached the backend
-    assert len(engine.exchanges()) == len(backend.sent)
 
 
 def test_ask_and_retrieve_outside_an_evaluation_ask_for_their_own_k(
@@ -469,24 +466,3 @@ def test_memo_ends_when_the_evaluation_raises(b0_run, transcript, script_table):
         assert _reaches_backend(engine, backend, question)
     finally:
         engine.close()
-
-
-def test_memo_belongs_to_the_thread_that_opened_it(b0_run, transcript, script_table):
-    _, paths = b0_run
-    question = transcript.questions[0].text
-    backend = Capturing(ScriptedBackend(script_table))
-    engine = restore_engine(paths, transcript, backend)
-    reached = []
-    try:
-        with engine.reasoner.memoized():
-            assert _reaches_backend(engine, backend, question)
-            assert not _reaches_backend(engine, backend, question)
-            other = threading.Thread(
-                target=lambda: reached.append(_reaches_backend(engine, backend, question))
-            )
-            other.start()
-            other.join(timeout=30)
-            assert not other.is_alive()
-    finally:
-        engine.close()
-    assert reached == [True]

@@ -105,7 +105,8 @@ def test_reasoner_fills_empty_substory_slots():
 def test_reasoner_reports_exchanges_to_observer():
     backend = CapturingBackend({PromptKind.ANSWER: "A fine answer."})
     seen = []
-    reasoner = Reasoner(backend, observer=lambda kind, rendered, raw: seen.append((kind, rendered, raw)))
+    reasoner = Reasoner(backend)
+    reasoner.observer = lambda kind, rendered, raw: seen.append((kind, rendered, raw))
     answer = reasoner.answer(question="Q?", full_stories="S", add_trivas="")
     assert answer == "A fine answer."
     assert len(seen) == 1
@@ -113,27 +114,6 @@ def test_reasoner_reports_exchanges_to_observer():
     assert kind is PromptKind.ANSWER
     assert "Q?" in rendered
     assert raw == "A fine answer."
-
-
-def test_memoized_scope_sends_each_prompt_once():
-    backend = CapturingBackend({PromptKind.ANSWER: "A fine answer."})
-    seen = []
-    reasoner = Reasoner(backend, observer=lambda kind, rendered, raw: seen.append(rendered))
-
-    def ask(question):
-        return reasoner.answer(question=question, full_stories="S", add_trivas="")
-
-    with reasoner.memoized():
-        assert ask("Q?") == "A fine answer."
-        assert ask("Q?") == "A fine answer."  # answered from the table
-        with reasoner.memoized():  # an inner scope shares the outer table
-            ask("Q?")
-        ask("Q?")  # the inner exit left the outer table in place
-        ask("Q2?")  # a different prompt is a different key
-    assert len(backend.calls) == 2
-    assert len(seen) == 2  # a hit sends nothing, so it is not an exchange
-    ask("Q?")  # the table went with the scope
-    assert len(backend.calls) == 3
 
 
 def test_reasoner_answer_passes_text_through():
