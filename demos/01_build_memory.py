@@ -14,6 +14,7 @@ from pathlib import Path
 
 from storymem.backends import RuleBackend
 from storymem.engine import EngineConfig, MemoryEngine, run_replay
+from storymem.runio import RunReader
 from storymem.transcript import ingest_native
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,23 +39,23 @@ def main() -> int:
     finally:
         engine.close()
 
-    records = engine.records()
-    switch = next(r.iteration for r in records if r.path == "memory")
+    records = RunReader(paths.root).records()
+    switch = next(r["iteration"] for r in records if r["path"] == "memory")
     print(f"\nwhile the history fits {config.switch_threshold} turns the answer path "
           "reads it whole; memory takes over at turn", switch)
 
-    init = next(r for r in records if r.mem_init)
-    print(f"turn {init.iteration}: the first {config.T} turns are bound into "
-          f"narratives in one batch ({init.bound_fragments} fragments)")
+    init = next(r for r in records if r["mem_init"])
+    print(f"turn {init['iteration']}: the first {config.T} turns are bound into "
+          f"narratives in one batch ({init['bound_fragments']} fragments)")
 
     for r in records:
-        if r.consolidations:
-            who = ", ".join(f"{o}/{t}" for o, t in r.consolidated)
-            print(f"turn {r.iteration}: {r.consolidations} narrative(s) went quiet "
+        if r["consolidations"]:
+            who = ", ".join(f"{o}/{t}" for o, t in r["consolidated"])
+            print(f"turn {r['iteration']}: {r['consolidations']} narrative(s) went quiet "
                   f"and consolidated: {who}")
-        if r.reactivated:
-            who = ", ".join(f"{o}/{t}" for o, t in r.reactivated)
-            print(f"turn {r.iteration}: reactivated {who}")
+        if r["reactivated"]:
+            who = ", ".join(f"{o}/{t}" for o, t in r["reactivated"])
+            print(f"turn {r['iteration']}: reactivated {who}")
 
     print(f"\nfinal bank: {len(engine.bank)} narratives, {len(engine.store)} distilled facts")
     for n in sorted(engine.bank.narratives(), key=lambda n: (-len(n.fragments), n.topic))[:5]:

@@ -45,6 +45,7 @@ from storymem.retrieval import (
     retrieve_embedding,
     similarity_report,
 )
+from storymem.runio import RunReader
 from storymem.semantic import TripleStore
 from storymem.transcript import ingest_native
 
@@ -420,12 +421,11 @@ def record_replay(config: EngineConfig, transcript, transcript_path: Path, out_d
     return engine, backend, paths
 
 
-def record_eval(engine: MemoryEngine, transcript) -> dict:
+def record_eval(engine: MemoryEngine, transcript, records: list[dict]) -> dict:
     """Run the evaluation with each retriever, then ask and retrieve each
     question at every k of the sweep outside it: an evaluation asks for
     one ranking as deep as its sweep, while `storymem query` and direct
     ask/retrieve calls ask for their own k. Returns the coherence report."""
-    records = [r.to_dict() for r in engine.records()]
     report, _ = run_evaluation(engine, transcript.questions, records=records)
     run_evaluation(engine, transcript.questions, retriever="embedding", records=records)
     for q in transcript.questions:
@@ -567,9 +567,10 @@ def main() -> int:
             engine, backend, paths = record_replay(
                 config, transcript, transcript_path, work / f"run-{label}"
             )
+            records = RunReader(paths.root).records()
             try:
                 if label in ("b0", "b4"):
-                    report = record_eval(engine, transcript)
+                    report = record_eval(engine, transcript, records)
                     cov2 = report["coverage"]["2"]["overall"]
                     jsc = report["jscore"]["overall"]
                     comp = report["compression"]["median"]
@@ -582,7 +583,7 @@ def main() -> int:
                         if comp < 90.0:
                             raise SystemExit(f"{label}: compression median below bar")
                 else:
-                    cons = sum(r.consolidations for r in engine.records())
+                    cons = sum(r["consolidations"] for r in records)
                     print(f"[{label}] consolidations={cons}")
             finally:
                 engine.close()

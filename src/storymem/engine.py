@@ -14,20 +14,19 @@ lapsed and distills their durable facts into the triple store.
 run_replay drives a whole transcript through the engine, draining the
 worker after every turn so scripted runs are reproducible byte for byte,
 and appends that turn's bank changes to the run's bank log. Only the
-replay records the prompts and completions it causes, for the run's
-exchange log; the engine itself keeps no exchange, so a query, an
-evaluation or a live conversation holds none.
+replay records anything: the iteration records step returns, the bank
+changes and the prompts and completions it causes. The engine and its
+bank keep none of these, so a query, an evaluation or a live
+conversation holds nothing that grows with its turns.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime
 from pathlib import Path
 
 from . import runio
@@ -121,19 +120,7 @@ class IterationRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "path": self.path,
-            "mem_init": self.mem_init,
-            "bound_fragments": self.bound_fragments,
-            "consolidations": self.consolidations,
-            "semanticized": self.semanticized,
-            "consolidated": self.consolidated,
-            "reactivated": self.reactivated,
-            "error": self.error,
-            "online_latency": self.online_latency,
-            "offline_latency": self.offline_latency,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -168,8 +155,6 @@ class MemoryEngine:
         self._history_tokens = 0
         self._iteration = 0
         self._mem_init_done = False
-        self._records: list[IterationRecord] = []
-        self._log_lock = threading.Lock()
         self.reasoner = Reasoner(backend)
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="offline")
         self._pending: list[Future] = []
@@ -189,10 +174,6 @@ class MemoryEngine:
     @property
     def iteration(self) -> int:
         return self._iteration
-
-    def records(self) -> list[IterationRecord]:
-        with self._log_lock:
-            return list(self._records)
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)
@@ -225,8 +206,6 @@ class MemoryEngine:
         context = self._history[max(0, h_len - 1 - self.config.binding_context_turns) : -1]
         path = "full_context" if h_len <= self.config.switch_threshold else "memory"
         record = IterationRecord(iteration=iteration, path=path)
-        with self._log_lock:
-            self._records.append(record)
 
         response: str | None = None
         response_turn: Turn | None = None
@@ -550,14 +529,19 @@ def run_replay(
     identical on every run with a scripted backend. Backend failures
     abort after flushing what exists.
 
-    While the turns replay, the engine's Reasoner observer collects each
-    exchange for exchanges.jsonl. Replay steps without generating and
-    drains after each turn, so every call is the offline tick of the
-    turn just stepped. The observer is cleared when the turns end, an
-    abort included, so later calls on the engine record nothing.
+    While the turns replay, the record step returns for each turn goes
+    to records.jsonl, the bank observer collects each turn's bank
+    changes for its bank-log line, and the Reasoner observer collects
+    each exchange for exchanges.jsonl. Replay steps without generating
+    and drains after each turn, so every call is the offline tick of the
+    turn just stepped. Both observers are cleared when the turns end, an
+    abort included, so later changes and calls on the engine record
+    nothing.
     """
     config = dict(engine.describe())
     config["transcript"] = runio.transcript_stamp(transcript, transcript_path)
+    records: list[IterationRecord] = []
+    events: list[dict] = []
     exchanges: list[dict] = []
 
     def observe(kind: PromptKind, rendered: str, raw: str) -> None:
@@ -574,18 +558,21 @@ def run_replay(
     with runio.RunWriter(out_dir) as writer:
         writer.write_config(config)
         engine.reasoner.observer = observe
+        engine.bank.observer = events.append
         try:
             for turn in replay(transcript):
-                engine.step(turn, generate=False)
+                records.append(engine.step(turn, generate=False)[1])
                 failures = engine.drain()
                 if failures:
                     aborted = failures[0]
                     break
-                writer.write_snapshot(engine.iteration, engine.bank.drain_events())
+                writer.write_snapshot(engine.iteration, events)
+                events.clear()
         finally:
             engine.reasoner.observer = None
+            engine.bank.observer = None
 
-        writer.write_records([r.to_dict() for r in engine.records()])
+        writer.write_records([r.to_dict() for r in records])
         writer.write_exchanges(exchanges)
         writer.write_final(engine.bank.to_dict(), engine.store.to_jsonl())
     if aborted is not None:

@@ -7,9 +7,10 @@ or mutate, subplots reference them by position.
 
 The bank is the single mutable store, and it has one write path: every
 change is an event, and MemoryBank._apply is the only code that carries
-one out. The bank's methods check their input, then apply and record
-their event; drain_events() hands over the events since the last drain,
-apply() replays one without recording it again, and from_dict() folds a
+one out. The bank's methods check their input, then apply their event
+and hand it to the bank's observer when one is set (run_replay sets one
+to write the run's bank log); the bank keeps no event itself. apply()
+replays an event without observing it, and from_dict() folds a
 snapshot through the same path. So folding a run's bank log over an
 empty bank rebuilds the bank as it stood after any iteration. All of it
 happens under one lock, so an offline worker thread and serialization
@@ -116,10 +117,13 @@ def _clip_subplots(
     The window runs from window_start to the narrative's last fragment.
     Intervals are inclusive and 0-based within it. Out-of-range ends are
     clipped; empty or fully invalid intervals are dropped with a warning.
+    Headlines are whitespace-collapsed like owners and topics, so each
+    stays one line wherever it is shown.
     """
     window_end = len(narrative.fragments)
     subplots: list[dict] = []
     for headline, lo, hi in items:
+        headline = _display_label(headline)
         a = max(window_start + lo, window_start)
         b = min(window_start + hi, window_end - 1)
         if (a, b) != (window_start + lo, window_start + hi):
@@ -127,14 +131,14 @@ def _clip_subplots(
                 "narrative (%s, %s): clipping subplot interval [%d, %d]",
                 narrative.owner, narrative.topic, lo, hi,
             )
-        if a > b or not str(headline).strip():
+        if a > b or not headline:
             logger.warning(
                 "narrative (%s, %s): dropping invalid subplot interval [%d, %d]",
                 narrative.owner, narrative.topic, lo, hi,
             )
             continue
         subplots.append(
-            {"headline": str(headline).strip(), "fragment_indices": list(range(a, b + 1))}
+            {"headline": headline, "fragment_indices": list(range(a, b + 1))}
         )
     return subplots
 
@@ -185,10 +189,9 @@ class MemoryBank:
 
     _apply() carries out an event, and nothing else changes the bank.
     get_or_create, append_fragments, consolidate and rename_topic check
-    their input, then apply their event and record it until
-    drain_events() takes it. apply() replays an event without recording
-    it, and from_dict() folds a snapshot as create, append and
-    consolidate events.
+    their input, then apply their event and pass it to observer, if
+    set. apply() replays an event without observing it, and from_dict()
+    folds a snapshot as create, append and consolidate events.
 
     Since every change passes through _apply, what the bank keeps beside
     its narratives stays in step with them: the index of subplots by
@@ -199,7 +202,8 @@ class MemoryBank:
     def __init__(self) -> None:
         self._narratives: dict[tuple[str, str], Narrative] = {}
         self._lock = threading.RLock()
-        self._events: list[dict] = []
+        # called with each event after it is applied
+        self.observer: Callable[[dict], None] | None = None
         # (owner, headline), normalized -> its (narrative, subplot) pairs, oldest first
         self._subplots: dict[tuple[str, str], list[tuple[Narrative, Subplot]]] = {}
         # id(narrative) -> a rank that grows with each (re-)insertion, so that
@@ -253,7 +257,8 @@ class MemoryBank:
 
     def _record(self, event: dict) -> Narrative:
         narrative = self._apply(event)
-        self._events.append(event)
+        if self.observer is not None:
+            self.observer(event)
         return narrative
 
     def get_or_create(self, owner: str, topic: str) -> Narrative:
@@ -394,14 +399,8 @@ class MemoryBank:
 
     # --- bank log --------------------------------------------------------------
 
-    def drain_events(self) -> list[dict]:
-        """The changes recorded since the last drain, oldest first."""
-        with self._lock:
-            events, self._events = self._events, []
-            return events
-
     def apply(self, event: dict) -> Narrative:
-        """Replay one recorded change, without recording it again; return
+        """Replay one recorded change, without observing it again; return
         the narrative it touched."""
         return self._apply(event)
 

@@ -10,8 +10,9 @@ A run directory is the durable artifact of one replay:
     exchanges.jsonl   - every prompt/completion of the replay, for audit
 
 Each bank-log line is {"iteration": i, "events": [...]}, with the events
-of MemoryBank.drain_events(); folding the lines up to iteration i over
-an empty bank with MemoryBank.apply gives the bank after iteration i.
+the bank passed to MemoryBank.observer during iteration i; folding the
+lines up to iteration i over an empty bank with MemoryBank.apply gives
+the bank after iteration i.
 
 All JSON is written with sorted keys; under a scripted backend every
 file except the latency fields inside records.jsonl is reproducible

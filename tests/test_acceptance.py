@@ -29,7 +29,7 @@ from storymem.episodic import MemoryBank
 from storymem.errors import ParseFailure, SchemaMismatch
 from storymem.evaluate import run_evaluation
 from storymem.metrics import compression_rate, coverage_rate, percentile
-from storymem.parsing import parse_structured, to_canonical
+from storymem.parsing import parse_structured
 from storymem.prompts import PromptKind
 from storymem.reasoner import Reasoner
 from storymem.retrieval import (
@@ -117,11 +117,11 @@ def test_path_switching_conformance(b0_run, b4_run):
     ok = False
     try:
         for run, threshold in ((b0_run, 20), (b4_run, 24)):
-            records = run[0].records()
+            records = RunReader(run[1].root).records()
             for r in records:
-                expected = "full_context" if r.iteration <= threshold else "memory"
-                assert r.path == expected, (r.iteration, r.path)
-            assert [r.iteration for r in records if r.mem_init] == [21]
+                expected = "full_context" if r["iteration"] <= threshold else "memory"
+                assert r["path"] == expected, (r["iteration"], r["path"])
+            assert [r["iteration"] for r in records if r["mem_init"]] == [21]
         ok = True
     finally:
         _report("path switching at T and T+B", ok)
@@ -594,13 +594,11 @@ def test_online_path_not_blocked_by_offline_work():
         transcript = _random_transcript(random.Random(5), 10)
         try:
             stepping_started = time.perf_counter()
-            for turn in transcript.turns:
-                engine.step(turn)
+            records = [engine.step(turn)[1] for turn in transcript.turns]
             stepping = time.perf_counter() - stepping_started
             assert engine.drain() == []
         finally:
             engine.close()
-        records = engine.records()
         assert max(r.online_latency for r in records) < 0.05
         offline = [r.offline_latency for r in records if r.iteration >= 5]
         assert len(offline) == 6

@@ -1,10 +1,11 @@
 """Deterministic budget of the 60-turn scripted replay and its evaluation.
 
-Backend calls and prompt tokens per prompt kind, artifact sizes and the
-evaluation's whole output repeat exactly between runs, so they are pinned here: a change
-that moves one of these figures must update it and say why in
-CHANGES.md. Wall-clock fields (latencies) and the checkout-dependent
-transcript path are left out of the sizes and the output digests.
+Backend calls and prompt tokens per prompt kind, the replay's artifacts
+(their sizes and sha256) and the evaluation's whole output repeat
+exactly between runs, so they are pinned here: a change that moves one
+of these figures must update it and say why in CHANGES.md. Wall-clock
+fields (latencies) and the checkout-dependent transcript path are left
+out of the artifacts and the output digests.
 """
 
 from __future__ import annotations
@@ -48,6 +49,16 @@ REPLAY_BYTES = {
     "semantic.jsonl": 3244,
 }
 
+# sha256 of the same bytes: the scripted replay repeats byte for byte
+REPLAY_DIGESTS = {
+    "bank_log.jsonl": "df7d6dccac476d319161a3500c8f9f99bdd0655e8458ff61a084aba4b6a3cecd",
+    "config.json": "4da19ea8ba9afb4a65499cdf85d8fa2758501cf92fa4b53863db66205fe39dbd",
+    "episodic.json": "d633e05ab06d7df6a05d0e020928b92cfd42f136336522b605e70dfcd86d4809",
+    "exchanges.jsonl": "087f22c75c0cfd48775ee6925f7f67f6fb2f29d1a821bcc59cdf965aed9fcc94",
+    "records.jsonl": "4c510738fe78cbdb8fd2499598f59c72d0da2c60d2a9d436cd751d1efdf00e70",
+    "semantic.jsonl": "db4de21c1aff4e29ee321b9f53fb998caf6479015743ba9cc126fd8bfeede27c",
+}
+
 # one ranking, one translation, one answer and one verdict per question
 EVAL_CALLS = {
     "coherence_retrieve": 13,
@@ -80,21 +91,23 @@ class Counting(Backend):
         return self.inner.complete(kind, rendered)
 
 
-def artifact_bytes(path) -> int:
-    """The file's size, or for config and records its size with the
+def artifact_bytes(path) -> bytes:
+    """The file's bytes, or for config and records its bytes with the
     checkout path and the latencies taken out, re-serialized as written."""
     if path.name == "config.json":
         config = json.loads(path.read_text())
         del config["transcript"]["path"]
-        return len(json.dumps(config, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-    if path.name == "records.jsonl":
-        size = 0
+        text = json.dumps(config, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    elif path.name == "records.jsonl":
+        rows = []
         for line in path.read_text().splitlines():
             row = json.loads(line)
             del row["online_latency"], row["offline_latency"]
-            size += len(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
-        return size
-    return path.stat().st_size
+            rows.append(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+        text = "".join(rows)
+    else:
+        return path.read_bytes()
+    return text.encode("utf-8")
 
 
 def evaluation_digest(report: dict, traces: list[dict]) -> str:
@@ -136,10 +149,23 @@ def test_replay_prompt_tokens_per_kind(b0_run):
     assert dict(tokens) == REPLAY_PROMPT_TOKENS
 
 
+def replay_artifacts(paths) -> dict[str, bytes]:
+    return {p.name: artifact_bytes(p) for p in sorted(paths.root.iterdir()) if p.is_file()}
+
+
 def test_replay_artifact_bytes(b0_run):
     _, paths = b0_run
-    sizes = {p.name: artifact_bytes(p) for p in sorted(paths.root.iterdir()) if p.is_file()}
+    sizes = {name: len(data) for name, data in replay_artifacts(paths).items()}
     assert sizes == REPLAY_BYTES
+
+
+def test_replay_artifact_digests(b0_run):
+    _, paths = b0_run
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in replay_artifacts(paths).items()
+    }
+    assert digests == REPLAY_DIGESTS
 
 
 def test_evaluation_calls_per_kind(b0_run, transcript, script_table):

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import gc
 import json
+import types
 import weakref
 from datetime import datetime, timedelta
 
 import pytest
 
 from storymem.backends import Backend, RuleBackend, ScriptedBackend, _section
-from storymem.engine import EngineConfig, MemoryEngine, run_replay
+from storymem.engine import EngineConfig, IterationRecord, MemoryEngine, run_replay
 from storymem.episodic import MemoryBank
 from storymem.errors import BackendUnavailable, MalformedInput, ReplayAborted
 from storymem.prompts import PromptKind
+from storymem.runio import RunReader
 from storymem.semantic import TripleStore
 from storymem.formatting import format_history
 from storymem.transcript import Session, Transcript, Turn, count_tokens
@@ -72,9 +74,13 @@ def test_config_helpers():
 # --- scripted replay of the bundled conversation -------------------------------------
 
 
+def replay_records(paths) -> list[IterationRecord]:
+    """The iteration records a replay wrote to records.jsonl."""
+    return [IterationRecord(**row) for row in RunReader(paths.root).records()]
+
+
 def test_replay_paths_without_buffer(b0_run):
-    engine, _ = b0_run
-    records = engine.records()
+    records = replay_records(b0_run[1])
     assert [r.iteration for r in records] == list(range(1, 61))
     assert all(r.path == "full_context" for r in records if r.iteration <= 20)
     assert all(r.path == "memory" for r in records if r.iteration >= 21)
@@ -82,8 +88,7 @@ def test_replay_paths_without_buffer(b0_run):
 
 
 def test_replay_paths_with_buffer(b4_run):
-    engine, _ = b4_run
-    records = engine.records()
+    records = replay_records(b4_run[1])
     assert all(r.path == "full_context" for r in records if r.iteration <= 24)
     assert all(r.path == "memory" for r in records if r.iteration >= 25)
     # memory formation still starts at T, not at T+B
@@ -91,8 +96,7 @@ def test_replay_paths_with_buffer(b4_run):
 
 
 def test_memory_initializes_once_at_crossing(b0_run):
-    engine, _ = b0_run
-    records = engine.records()
+    records = replay_records(b0_run[1])
     assert [r.iteration for r in records if r.mem_init] == [21]
     by_iter = {r.iteration: r for r in records}
     # the first T turns arrive as narrative fragments in one batch, and
@@ -119,8 +123,9 @@ def test_crossing_turn_is_bound(b0_run, transcript):
 
 
 def test_consolidation_fires_on_inactivity_edges(b0_run):
-    engine, _ = b0_run
-    per_iter = {r.iteration: r.consolidations for r in engine.records() if r.consolidations}
+    engine, paths = b0_run
+    records = replay_records(paths)
+    per_iter = {r.iteration: r.consolidations for r in records if r.consolidations}
     assert per_iter == {
         23: 6,
         25: 1,
@@ -136,13 +141,13 @@ def test_consolidation_fires_on_inactivity_edges(b0_run):
         55: 1,
         56: 1,
     }
-    assert sum(r.semanticized for r in engine.records()) == len(engine.store) == 13
+    assert sum(r.semanticized for r in records) == len(engine.store) == 13
     assert len(engine.bank) == 20
 
 
 def test_reactivation_is_reported(b0_run):
-    engine, _ = b0_run
-    events = [(r.iteration, r.reactivated) for r in engine.records() if r.reactivated]
+    records = replay_records(b0_run[1])
+    events = [(r.iteration, r.reactivated) for r in records if r.reactivated]
     assert events[0] == (23, [["Ava", "The kitchen renovation"]])
     assert len(events) == 26
 
@@ -209,28 +214,33 @@ def test_run_artifacts_on_disk(b0_run, transcript):
 # --- consolidation policies ------------------------------------------------------------
 
 
-def run_tiny(policy: str, n_turns: int = 12) -> MemoryEngine:
+def run_tiny(
+    policy: str, n_turns: int = 12
+) -> tuple[MemoryEngine, list[IterationRecord]]:
+    """Step a tiny conversation, draining each turn; keep the records
+    step returns."""
     engine = MemoryEngine(
         EngineConfig(T=4, B=0, consolidation_policy=policy), RuleBackend()
     )
+    records = []
     try:
         for turn in tiny_transcript(n_turns).turns:
-            engine.step(turn)
+            records.append(engine.step(turn)[1])
             assert engine.drain() == []
     finally:
         engine.close()
-    return engine
+    return engine, records
 
 
 def test_policy_none_never_consolidates():
-    engine = run_tiny("none")
-    assert sum(r.consolidations for r in engine.records()) == 0
+    engine, records = run_tiny("none")
+    assert sum(r.consolidations for r in records) == 0
     assert all(not n.subplots for n in engine.bank.narratives())
 
 
 def test_policy_rapid_consolidates_on_schedule():
-    engine = run_tiny("rapid:3")
-    iters = [r.iteration for r in engine.records() if r.consolidations]
+    engine, records = run_tiny("rapid:3")
+    iters = [r.iteration for r in records if r.consolidations]
     assert iters
     assert all(i % 3 == 0 for i in iters)
     # the final tick is a multiple of 3, so nothing is left pending
@@ -240,11 +250,11 @@ def test_policy_rapid_consolidates_on_schedule():
 def test_policy_inactive_fires_exactly_on_the_edge():
     # Topics cycle with period 3 and speakers alternate, so each
     # (speaker, topic) narrative lapses two ticks after its last binding.
-    engine = run_tiny("inactive")
-    per_iter = {r.iteration: r.consolidations for r in engine.records() if r.consolidations}
+    engine, records = run_tiny("inactive")
+    per_iter = {r.iteration: r.consolidations for r in records if r.consolidations}
     assert per_iter == {7: 4, 8: 1, 9: 1, 10: 1, 11: 1, 12: 1}
     # nothing consolidated was bound in the same tick
-    for record in engine.records():
+    for record in records:
         consolidated = {tuple(pair) for pair in record.consolidated}
         for narrative in engine.bank.narratives():
             if (narrative.owner, narrative.topic) in consolidated:
@@ -364,6 +374,35 @@ def test_closed_engine_is_freed_without_the_cycle_collector(tmp_path, transcript
         gc.enable()
 
 
+def test_live_engine_keeps_no_records_or_events(transcript):
+    """A conversation driven by step keeps neither the records step
+    returns nor the bank's events: only run_replay collects them."""
+    engine = MemoryEngine(EngineConfig(B=0), RuleBackend())
+    records = []
+    try:
+        for turn in list(transcript.turns) * 2:
+            _, record = engine.step(turn, generate=True)
+            records.append(weakref.ref(record))
+            del record
+            assert engine.drain() == []
+        gc.collect()
+        assert len(records) == 120
+        assert all(ref() is None for ref in records)
+
+        skipped = (type, types.FunctionType, types.BuiltinFunctionType, types.ModuleType)
+        seen, stack = set(), [engine.bank]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, skipped):
+                continue
+            seen.add(id(obj))
+            assert not (isinstance(obj, dict) and "op" in obj), obj
+            stack.extend(gc.get_referents(obj))
+        assert len(engine.bank) > 0
+    finally:
+        engine.close()
+
+
 # --- failure handling ----------------------------------------------------------------
 
 
@@ -440,6 +479,7 @@ def test_replay_stops_recording_when_it_ends(tmp_path, transcript, ending):
             with pytest.raises(ReplayAborted if ending == "aborts" else RuntimeError):
                 run_replay(engine, transcript, out)
         assert engine.reasoner.observer is None
+        assert engine.bank.observer is None
         log = out / "exchanges.jsonl"
         # the replay's own calls were logged, unless it raised before writing
         assert log.exists() == (ending != "raises")
@@ -457,10 +497,10 @@ def test_unparseable_offline_reply_degrades_without_aborting(tmp_path):
     )
     transcript = tiny_transcript(12)
     try:
-        run_replay(engine, transcript, tmp_path / "degraded")
+        paths = run_replay(engine, transcript, tmp_path / "degraded")
     finally:
         engine.close()
-    records = engine.records()
+    records = replay_records(paths)
     assert len(records) == 12
     errors = [r.error for r in records if r.error]
     assert errors and all("consolidation:" in e for e in errors)

@@ -18,7 +18,7 @@ from storymem.episodic import (
     normalize_label,
 )
 from storymem.errors import CorruptSnapshot
-from storymem.formatting import coherence_headlines
+from storymem.formatting import coherence_headlines, substories_text
 
 TS = datetime(2023, 5, 1, 9, 0)
 SRC = Path(__file__).resolve().parents[1] / "src" / "storymem"
@@ -124,6 +124,17 @@ def test_apply_consolidation_clips_and_drops():
     # the window counts as consolidated even when items were dropped
     assert n.consolidated_through == 4
     assert n.unconsolidated_count() == 0
+
+    # a headline with a newline stays one line, so it forges no plot line
+    bank, n = make_narrative(2)
+    [forged] = bank.consolidate(n, 0, [("Tomatoes\n- Mallory: Secret plans", 0, 1)])
+    assert forged.headline == "Tomatoes - Mallory: Secret plans"
+    assert coherence_headlines(bank).splitlines() == [
+        "- Ava: The plan",
+        "  - Tomatoes - Mallory: Secret plans",
+    ]
+    assert substories_text(n) == "- Tomatoes - Mallory: Secret plans"
+    assert bank.find_subplot("Ava", forged.headline) == (n, forged)
 
 
 def test_apply_consolidation_window_offset():
@@ -257,8 +268,9 @@ bank_ops = st.lists(
 )
 
 
-def run_ops(ops) -> MemoryBank:
+def run_ops(ops, observer=None) -> MemoryBank:
     bank = MemoryBank()
+    bank.observer = observer
     for step, op in enumerate(ops):
         if op[0] == "extend":
             _, owner, topic, texts, iteration = op
@@ -292,16 +304,20 @@ def subplot_answers(bank: MemoryBank) -> list:
 @settings(max_examples=150, deadline=None)
 @given(bank_ops)
 def test_live_folded_and_restored_banks_agree(ops):
-    live = run_ops(ops)
+    events: list[dict] = []
+    live = run_ops(ops, observer=events.append)
     folded = MemoryBank()
-    for event in live.drain_events():
+    replayed: list[dict] = []
+    folded.observer = replayed.append
+    for event in events:
         folded.apply(event)
     restored = MemoryBank.from_dict(live.to_dict())
     for bank in (folded, restored):
         assert bank.to_dict() == live.to_dict()
         assert subplot_answers(bank) == subplot_answers(live)
         assert coherence_headlines(bank) == coherence_headlines(live)
-    assert folded.drain_events() == restored.drain_events() == []
+    # apply replays an event without reporting it again
+    assert replayed == []
 
 
 # names that hold bank state: a narrative's fields and the bank's own dicts

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -246,14 +247,29 @@ def test_export_timeline_from_run_bank_log(b0_run):
 TS = datetime(2023, 5, 1, 9, 0)
 
 
+def observe_events(bank: MemoryBank) -> Callable[[], list[dict]]:
+    """Observe the bank's changes; each call of the returned function
+    hands over the events since the last call, oldest first."""
+    events: list[dict] = []
+    bank.observer = events.append
+
+    def take() -> list[dict]:
+        taken = events[:]
+        events.clear()
+        return taken
+
+    return take
+
+
 def synthetic_bank_log():
     bank = MemoryBank()
+    take = observe_events(bank)
     mover = bank.extend("A,B", "The move", ["one", "two"], TS, ("s1t1",), iteration=1)
-    log = [(1, bank.drain_events())]
+    log = [(1, take())]
     bank.extend("A,B", "The move", ["three"], TS, ("s1t2",), iteration=2)
     bank.consolidate(mover, 0, [("start", 0, 1)])
     bank.extend("C", 'say "hi"', ["hello"], TS, ("s1t3",), iteration=2)
-    log.append((2, bank.drain_events()))
+    log.append((2, take()))
     return log
 
 
@@ -317,10 +333,11 @@ def fold(bank_log):
 
 def test_topic_rename_through_the_log():
     bank = MemoryBank()
+    take = observe_events(bank)
     live, log = [], []
 
     def end_iteration(i):
-        log.append((i, bank.drain_events()))
+        log.append((i, take()))
         live.append((i, bank.to_dict()))
 
     trip = bank.extend("Ava", "The trip", ["packed", "booked"], TS, ("s1t1",), iteration=1)
@@ -372,6 +389,7 @@ def test_bank_log_folds_to_the_live_bank_and_its_timeline(iterations):
     several in one iteration included, folds back to the live bank; and
     the timeline from the log is the diff of the live banks."""
     bank = MemoryBank()
+    take = observe_events(bank)
     live, log = [], []
     for i, ops in enumerate(iterations, 1):
         for op in ops:
@@ -386,7 +404,7 @@ def test_bank_log_folds_to_the_live_bank_and_its_timeline(iterations):
                     bank.consolidate(n, start, [("part", 0, op[2])])
                 else:
                     bank.rename_topic(n, op[2])
-        log.append((i, bank.drain_events()))
+        log.append((i, take()))
         live.append((i, bank.to_dict()))
     assert fold(log) == live
     assert export_timeline(log).to_dict() == timeline_from_snapshots(live)

@@ -427,8 +427,9 @@ choice_lists = st.lists(
 )
 
 
-def build_bank(ops) -> MemoryBank:
+def build_bank(ops, observer=None) -> MemoryBank:
     bank = MemoryBank()
+    bank.observer = observer
     for step, op in enumerate(ops):
         if op[0] == "grow":
             _, owner, topic, items = op
@@ -447,14 +448,15 @@ def build_bank(ops) -> MemoryBank:
 @settings(max_examples=250, deadline=None)
 @given(bank_ops, choice_lists, st.integers(1, 6))
 def test_resolve_choices_matches_bank_scan(ops, choices, k):
-    bank = build_bank(ops)
+    events: list[dict] = []
+    bank = build_bank(ops, observer=events.append)
     want = scan_resolve(bank, choices, k)
     assert resolve_choices(bank, choices, k) == want
 
     # the same bank, read back from its dict and folded from its event log
     assert resolve_choices(MemoryBank.from_dict(bank.to_dict()), choices, k) == want
     folded = MemoryBank()
-    for event in bank.drain_events():
+    for event in events:
         folded.apply(event)
     assert resolve_choices(folded, choices, k) == want
 
@@ -519,6 +521,8 @@ def test_cached_outline_follows_every_bank_change(ops):
         assert coherence_headlines(bank) == _build_coherence_headlines(bank)
 
     live = MemoryBank()
+    events: list[dict] = []
+    live.observer = events.append
     folded = MemoryBank()
     check(live)
     for step, op in enumerate(ops):
@@ -535,9 +539,10 @@ def test_cached_outline_follows_every_bank_change(ops):
             if narratives:
                 live.rename_topic(narratives[op[1] % len(narratives)], op[2])
         check(live)
-        for event in live.drain_events():
+        for event in events:
             folded.apply(event)
             check(folded)
+        events.clear()
     restored = MemoryBank.from_dict(live.to_dict())
     check(restored)
     assert coherence_headlines(restored) == coherence_headlines(live) == coherence_headlines(folded)
