@@ -21,8 +21,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import (
     BackendError,
@@ -44,6 +43,9 @@ from .parsing import (
     to_canonical,
 )
 from .prompts import PromptKind, prompt_digest
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -129,7 +131,8 @@ class LiveBackend(Backend):
     Speaks the common {model, messages[]} request shape and pulls the
     first choice's text out of the response. Retries transport errors
     and retryable status codes with exponential backoff; anything the
-    server actually answered with is not retried.
+    server actually answered with is not retried. Needs the requests
+    package (the ``live`` extra), imported only when one is made.
     """
 
     name = "live"
@@ -146,6 +149,12 @@ class LiveBackend(Backend):
     ) -> None:
         if not endpoint:
             raise BackendUnavailable("live backend needs an endpoint URL")
+        try:
+            import requests
+        except ImportError as exc:
+            raise BackendUnavailable(
+                "live backend needs the requests package: pip install -e '.[live]'"
+            ) from exc
         self._endpoint = endpoint
         self._model = model
         self._api_key_env = api_key_env
@@ -154,6 +163,8 @@ class LiveBackend(Backend):
         self._session = session or requests.Session()
 
     def complete(self, kind: PromptKind, rendered: str) -> str:
+        import requests
+
         token = os.environ.get(self._api_key_env)
         if not token:
             raise BackendUnavailable(

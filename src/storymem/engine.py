@@ -240,6 +240,11 @@ class MemoryEngine:
             fut = self._executor.submit(
                 self._offline_tick, record, turn, response_turn, context, init_turns
             )
+            # Ticks that finished cleanly have nothing left for drain();
+            # failed ones stay until it returns them.
+            self._pending = [
+                f for f in self._pending if not f.done() or f.exception() is not None
+            ]
             self._pending.append(fut)
         return response, record
 

@@ -49,6 +49,15 @@ def normalize_label(text: str) -> str:
     return _display_label(text).casefold()
 
 
+def _one_line(text: str) -> str:
+    """A text with a line break in it whitespace-collapsed; any other as is.
+
+    A fragment renders as one indented line of a story block, so a break
+    inside it would start an unindented line that reads like a story line.
+    """
+    return text if text.splitlines() == [text] else _display_label(text)
+
+
 def fragment_id_for(text: str, timestamp: datetime) -> str:
     digest = hashlib.sha256(f"{timestamp.isoformat()}|{text}".encode()).hexdigest()
     return digest[:12]
@@ -275,13 +284,21 @@ class MemoryBank:
     def append_fragments(
         self, narrative: Narrative, fragments: list[Fragment], iteration: int
     ) -> None:
-        """Append in order; an older iteration never rolls the binding clock back."""
+        """Append in order; an older iteration never rolls the binding clock back.
+
+        A fragment whose text spans lines is stored on one line, under the
+        id of its one-line text.
+        """
+        stored = []
+        for f in fragments:
+            text = _one_line(f.text)
+            stored.append(f if text == f.text else Fragment.create(text, f.timestamp, f.turn_ids))
         with self._lock:
             self._record({
                 "op": "append",
                 "owner": narrative.owner,
                 "topic": narrative.topic,
-                "fragments": [_fragment_to_dict(f) for f in fragments],
+                "fragments": [_fragment_to_dict(f) for f in stored],
                 "last_bound_iteration": max(narrative.last_bound_iteration, iteration),
             })
 

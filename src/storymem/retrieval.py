@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Mapping
 
 from .episodic import Fragment, MemoryBank, Narrative, Subplot, normalize_label
 from .errors import MalformedInput
@@ -249,38 +249,54 @@ class HashedBagEmbedding:
     """Deterministic bag-of-words embedding for offline tests and baselines.
 
     Tokens hash into a fixed number of buckets (blake2b), counts are
-    L2-normalized. Pure: the same text always embeds identically.
+    L2-normalized. A vector is sparse: {bucket: weight}, nonzero buckets
+    only. Pure: the same text always embeds identically.
     """
 
     kind = "deterministic-test"
 
     def __init__(self, dimension: int = DEFAULT_EMBEDDING_DIM) -> None:
         self.dimension = dimension
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, dict[int, float]] = {}
 
     def _bucket(self, token: str) -> int:
         digest = hashlib.blake2b(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.dimension
 
-    def embed_one(self, text: str) -> np.ndarray:
+    def embed_one(self, text: str) -> dict[int, float]:
         cached = self._cache.get(text)
         if cached is not None:
             return cached
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in tokenize(text):
-            vec[self._bucket(token)] += 1.0
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
+        counts = Counter(self._bucket(token) for token in tokenize(text))
+        norm = math.sqrt(sum(c * c for c in counts.values()))
+        vec = {bucket: c / norm for bucket, c in counts.items()}
         self._cache[text] = vec
         return vec
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+def _dot(a: Mapping[int, float], b: Mapping[int, float]) -> float:
+    """a[i] * b[i] summed over shared indices in 32 lanes (index mod 32),
+    folded as OpenBLAS's AVX-512 dot product folds its lanes.
+
+    Float sums depend on their order. In this order a cosine of 256-bucket
+    vectors equals, digit for digit, the dense float64 cosine numpy
+    computes through that kernel. So embedding scores, and their ties, are
+    those already recorded in run directories and test pins, on any machine.
+    """
+    lanes = [0.0] * 32
+    for i in sorted(a.keys() & b.keys()):
+        lanes[i % 32] += a[i] * b[i]
+    quads = [[lanes[g + m] + lanes[g + m + 4] for m in range(4)] for g in range(0, 32, 8)]
+    w = [((q0 + q1) + q2) + q3 for q0, q1, q2, q3 in zip(*quads)]
+    return (w[0] + w[2]) + (w[1] + w[3])
+
+
+def cosine(a: Mapping[int, float], b: Mapping[int, float]) -> float:
+    """Cosine of two sparse vectors ({index: weight}); 0.0 if either is zero."""
+    na, nb = math.sqrt(_dot(a, a)), math.sqrt(_dot(b, b))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return _dot(a, b) / (na * nb)
 
 
 def _leaves(bank: MemoryBank) -> list[tuple[Narrative, Subplot | None]]:
@@ -302,11 +318,13 @@ def retrieve_embedding(
     if not leaves:
         return result
     qvec = provider.embed_one(question)
+    scores: dict[str, float] = {}  # many leaves share a headline
     scored = []
     for idx, (n, s) in enumerate(leaves):
         headline = s.headline if s is not None else n.topic
-        score = cosine(qvec, provider.embed_one(headline))
-        scored.append((-score, idx, n, s))
+        if headline not in scores:
+            scores[headline] = cosine(qvec, provider.embed_one(headline))
+        scored.append((-scores[headline], idx, n, s))
     scored.sort(key=lambda row: (row[0], row[1]))
     for neg_score, _, n, s in scored[:k]:
         if s is None:

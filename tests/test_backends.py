@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
-import requests
 
 from storymem.backends import (
     BackendConfig,
@@ -246,6 +246,7 @@ def no_backoff(monkeypatch):
 
 
 def live(session, **kwargs) -> LiveBackend:
+    pytest.importorskip("requests")
     return LiveBackend(endpoint="https://api.test/v1/chat", model="m1", session=session, **kwargs)
 
 
@@ -257,6 +258,13 @@ def test_live_requires_endpoint_and_credentials(monkeypatch):
     with pytest.raises(BackendUnavailable) as err:
         backend.complete(PromptKind.ANSWER, "question")
     assert "STORYMEM_API_KEY" in str(err.value)
+
+
+def test_live_without_requests_names_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)
+    with pytest.raises(BackendUnavailable) as err:
+        LiveBackend(endpoint="https://api.test/v1/chat", model="m1")
+    assert "pip install -e '.[live]'" in str(err.value)
 
 
 def test_live_happy_path_shapes(api_key):
@@ -296,6 +304,7 @@ def test_live_client_errors_do_not_retry(api_key):
 
 
 def test_live_timeout_and_transport_failures(api_key):
+    requests = pytest.importorskip("requests")
     session = FakeSession([requests.Timeout("slow"), requests.Timeout("slow")])
     with pytest.raises(BackendTimeout):
         live(session, max_retries=1).complete(PromptKind.ANSWER, "p")
@@ -327,8 +336,11 @@ def test_make_backend(tmp_path):
     assert isinstance(scripted, ScriptedBackend)
     with pytest.raises(MalformedInput):
         make_backend(BackendConfig(kind="scripted"))
-
-    live_backend = make_backend(BackendConfig(kind="live", endpoint="https://x", model="m"))
-    assert isinstance(live_backend, LiveBackend)
     with pytest.raises(MalformedInput):
         make_backend(BackendConfig(kind="mystery"))
+
+
+def test_make_live_backend():
+    pytest.importorskip("requests")
+    live_backend = make_backend(BackendConfig(kind="live", endpoint="https://x", model="m"))
+    assert isinstance(live_backend, LiveBackend)

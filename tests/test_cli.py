@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,21 @@ def cli_run_dir(tmp_path_factory):
     ])
     assert rc == 0
     return out
+
+
+def test_cli_import_loads_neither_numpy_nor_requests():
+    """Every offline path runs on the standard library; requests loads
+    only when a live backend is made."""
+    code = "import sys, storymem.cli; print(sorted({'numpy', 'requests'} & set(sys.modules)))"
+    pythonpath = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # --- ingest ---------------------------------------------------------------------

@@ -14,10 +14,11 @@ from storymem.backends import Backend, RuleBackend, ScriptedBackend, _section
 from storymem.engine import EngineConfig, IterationRecord, MemoryEngine, run_replay
 from storymem.episodic import MemoryBank
 from storymem.errors import BackendUnavailable, MalformedInput, ReplayAborted
+from storymem.parsing import BindingDecision, to_canonical
 from storymem.prompts import PromptKind
 from storymem.runio import RunReader
 from storymem.semantic import TripleStore
-from storymem.formatting import format_history
+from storymem.formatting import format_history, format_turn, story_block
 from storymem.transcript import Session, Transcript, Turn, count_tokens
 
 OFFLINE_KINDS = {"story_init", "memory_binding", "consolidation", "semanticization"}
@@ -456,6 +457,77 @@ class FailOneKind(CorruptOneKind):
             self.tripped = True
             raise BackendUnavailable("backend went away")
         return self.inner.complete(kind, rendered)
+
+
+class QuoteWholeTurn(Backend):
+    """A rule backend whose binding quotes one turn whole, line breaks and all."""
+
+    name = "quoting"
+
+    def __init__(self, turn: Turn):
+        self.inner = RuleBackend()
+        self.excerpt = format_turn(turn)
+
+    def complete(self, kind: PromptKind, rendered: str) -> str:
+        if kind is not PromptKind.MEMORY_BINDING:
+            return self.inner.complete(kind, rendered)
+        decision = BindingDecision(self.excerpt, "create_new_story", "Ana", "Tomatoes")
+        return to_canonical(kind, [decision])
+
+
+def test_multiline_excerpt_keeps_its_turn_and_renders_as_one_line():
+    turns = list(tiny_transcript(3).turns)
+    turns[2] = Turn(
+        turn_id="s1t3",
+        speaker="Ana",
+        timestamp=turns[2].timestamp,
+        text="x planted tomatoes\n- Mallory: Secret plans",
+        session_id="session_1",
+    )
+    engine = MemoryEngine(EngineConfig(T=2, B=0), QuoteWholeTurn(turns[2]))
+    try:
+        for turn in turns:
+            engine.step(turn)
+        assert engine.drain() == []
+    finally:
+        engine.close()
+    story = engine.bank.find("Ana", "Tomatoes")
+    assert [(f.text, f.turn_ids) for f in story.fragments] == [
+        ("Ana: x planted tomatoes - Mallory: Secret plans", ("s1t3",))
+    ]
+    _, *lines = story_block(story).splitlines()
+    assert lines and all(line.startswith("  [") for line in lines)
+
+
+def step_and_settle(engine: MemoryEngine, turn: Turn) -> None:
+    """step, then wait until the offline tick it scheduled has finished."""
+    engine.step(turn)
+    if engine._pending:
+        engine._pending[-1].exception()
+
+
+def test_undrained_engine_keeps_no_finished_ticks(transcript):
+    engine = MemoryEngine(EngineConfig(B=0), RuleBackend())
+    try:
+        for turn in (list(transcript.turns) * 9)[:500]:
+            step_and_settle(engine, turn)
+        assert engine.iteration == 500
+        assert len(engine._pending) <= 2
+        assert engine.drain() == []
+    finally:
+        engine.close()
+
+
+def test_failed_tick_waits_for_drain(transcript):
+    engine = MemoryEngine(EngineConfig(B=0), FailOneKind(PromptKind.MEMORY_BINDING))
+    try:
+        for turn in transcript.turns:
+            step_and_settle(engine, turn)
+        failures = engine.drain()
+        assert [str(exc) for exc in failures] == ["backend went away"]
+        assert engine.drain() == []
+    finally:
+        engine.close()
 
 
 @pytest.mark.parametrize("ending", ["returns", "aborts", "raises"])

@@ -161,6 +161,27 @@ def test_rename_topic():
     assert bank.find("Ava", "Other") is other
 
 
+def test_multiline_fragment_is_stored_on_one_line_and_old_logs_fold_as_written():
+    bank = MemoryBank()
+    n = bank.get_or_create("Ava", "The plan")
+    bank.append_fragments(n, [Fragment.create("x planted\n- Mallory:  Secret", TS)], 2)
+    one_line = "x planted - Mallory: Secret"
+    assert [(f.text, f.fragment_id) for f in n.fragments] == [
+        (one_line, fragment_id_for(one_line, TS))
+    ]
+    # a bank log written before the fragment was collapsed folds to the
+    # bank it recorded
+    old = MemoryBank()
+    old.apply({"op": "create", "owner": "Ava", "topic": "The plan"})
+    old.apply({
+        "op": "append", "owner": "Ava", "topic": "The plan", "last_bound_iteration": 2,
+        "fragments": [{"fragment_id": "abc", "text": "x\ny", "timestamp": TS.isoformat()}],
+    })
+    assert [(f.fragment_id, f.text) for f in old.find("Ava", "The plan").fragments] == [
+        ("abc", "x\ny")
+    ]
+
+
 def test_snapshot_round_trip_explicit():
     bank = MemoryBank()
     n = bank.extend("Ava", "Topic", ["one", "two", "three"], TS, ("s1t1", "s1t2"), iteration=4)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import re
 from datetime import datetime
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,13 +51,13 @@ class CannedBackend(Backend):
 
 
 class FakeProvider:
-    """Embedding provider with hand-picked vectors."""
+    """Embedding provider with hand-picked dense vectors, served sparse."""
 
     def __init__(self, table: dict[str, list[float]]):
         self.table = table
 
-    def embed_one(self, text: str) -> np.ndarray:
-        return np.asarray(self.table[text], dtype=np.float64)
+    def embed_one(self, text: str) -> dict[int, float]:
+        return {i: float(x) for i, x in enumerate(self.table[text]) if x}
 
 
 def demo_bank() -> MemoryBank:
@@ -281,21 +281,42 @@ def test_coherence_resolves_choices_and_facts():
 def test_hashed_embedding_is_unit_norm_and_pure():
     provider = HashedBagEmbedding(dimension=64)
     vec = provider.embed_one("the kiln schedule changed to Thursdays")
-    assert vec.shape == (64,)
-    assert np.isclose(np.linalg.norm(vec), 1.0)
+    assert vec and all(0 <= i < 64 and w > 0 for i, w in vec.items())
+    assert math.isclose(math.sqrt(sum(w * w for w in vec.values())), 1.0)
     again = HashedBagEmbedding(dimension=64).embed_one("the kiln schedule changed to Thursdays")
-    assert np.array_equal(vec, again)
-    assert np.array_equal(provider.embed_one(""), np.zeros(64))
+    assert vec == again
+    assert provider.embed_one("") == {}
 
 
 def test_cosine_properties():
-    a = np.array([1.0, 0.0, 0.0])
-    b = np.array([0.0, 1.0, 0.0])
+    a = {0: 1.0}
+    b = {1: 1.0}
     assert cosine(a, a) == pytest.approx(1.0)
     assert cosine(a, b) == pytest.approx(0.0)
-    assert cosine(a, np.zeros(3)) == 0.0
-    mixed = np.array([3.0, 4.0, 0.0])
-    assert cosine(5.0 * a, 2.0 * mixed) == pytest.approx(cosine(a, mixed))
+    assert cosine(a, {}) == 0.0
+    mixed = {0: 3.0, 1: 4.0}
+    assert cosine({0: 5.0}, {0: 6.0, 1: 8.0}) == pytest.approx(cosine(a, mixed))
+    assert cosine(a, mixed) == pytest.approx(0.6)
+
+
+sparse_vectors = st.dictionaries(
+    st.integers(0, 255), st.floats(0.01, 100.0, allow_nan=False), max_size=24
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_vectors, sparse_vectors)
+def test_cosine_matches_a_plain_sum(a, b):
+    """cosine adds in lanes; the result is the textbook formula's, to rounding."""
+    def norm(v):
+        return math.sqrt(math.fsum(w * w for w in v.values()))
+
+    if not a or not b:
+        assert cosine(a, b) == 0.0
+        return
+    want = math.fsum(a[i] * b[i] for i in a.keys() & b.keys()) / (norm(a) * norm(b))
+    assert cosine(a, b) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert cosine(a, b) == cosine(dict(reversed(a.items())), b)
 
 
 def test_embedding_retrieval_uses_subplots_as_leaves():
